@@ -21,16 +21,21 @@ class BudgetExceededError(RuntimeError):
 
 @dataclass(frozen=True)
 class Charge:
-    """One recorded expenditure."""
+    """One user's total spend under one label."""
 
     user: str
-    epsilon: float
+    total: float
     label: str
 
 
 @dataclass
 class PrivacyAccountant:
     """Tracks cumulative eps spent per user under sequential composition.
+
+    State is two maps: each user's total (``_spent``, the only thing
+    enforcement reads) and, label-major, each label's per-user totals
+    (``_by_label``, for attribution).  Both are O(users x labels); no
+    per-charge history is kept.
 
     Parameters
     ----------
@@ -40,7 +45,7 @@ class PrivacyAccountant:
 
     lifetime_epsilon: float
     _spent: Dict[str, float] = field(default_factory=dict)
-    _ledger: List[Charge] = field(default_factory=list)
+    _by_label: Dict[str, Dict[str, float]] = field(default_factory=dict)
 
     def __post_init__(self):
         self.lifetime_epsilon = check_epsilon(self.lifetime_epsilon)
@@ -67,15 +72,20 @@ class PrivacyAccountant:
     def charge(self, user: str, epsilon: float, label: str = "") -> float:
         """Record a charge; raises BudgetExceededError if it overdraws."""
         epsilon = check_epsilon(epsilon)
-        if not self.can_charge(user, epsilon):
+        spent = self._spent.get(user, 0.0)
+        if not epsilon <= (self.lifetime_epsilon - spent) + 1e-12:
             raise BudgetExceededError(
                 f"user {user!r}: charge {epsilon:g} exceeds remaining "
-                f"budget {self.remaining(user):g} "
+                f"budget {self.lifetime_epsilon - spent:g} "
                 f"(lifetime {self.lifetime_epsilon:g})"
             )
-        self._spent[user] = self.spent(user) + epsilon
-        self._ledger.append(Charge(user=user, epsilon=epsilon, label=label))
-        return self.remaining(user)
+        spent += epsilon
+        self._spent[user] = spent
+        totals = self._by_label.get(label)
+        if totals is None:
+            totals = self._by_label[label] = {}
+        totals[user] = totals.get(user, 0.0) + epsilon
+        return self.lifetime_epsilon - spent
 
     def charge_group(
         self, users, epsilon: float, label: str = "", atomic: bool = False
@@ -85,49 +95,50 @@ class PrivacyAccountant:
         This is the SGD recruitment pattern: only users with budget left
         may join an iteration's group.
 
-        With ``atomic=True`` the group is all-or-nothing: if any user
-        (at multiplicity — the same name twice must afford 2x) cannot
-        cover the charge, every charge already applied for this group
-        is rolled back and :class:`BudgetExceededError` is raised, so a
-        partial failure can never leave the ledger half-charged.
+        With ``atomic=True`` the group is all-or-nothing: a dry run
+        first walks the group at multiplicity (the same name twice must
+        afford 2x) with the same overdraw test :meth:`charge` applies,
+        and if any charge would fail it raises
+        :class:`BudgetExceededError` before anything is charged, so a
+        refused group leaves the state bitwise as it was.
         """
         epsilon = check_epsilon(epsilon)
-        charged = []
-        try:
+        users = list(users)
+        if atomic:
+            trial: Dict[str, float] = {}
             for user in users:
-                if not self.can_charge(user, epsilon):
-                    if atomic:
-                        raise BudgetExceededError(
-                            f"user {user!r}: group charge {epsilon:g} "
-                            f"exceeds remaining budget "
-                            f"{self.remaining(user):g} (lifetime "
-                            f"{self.lifetime_epsilon:g})"
-                        )
-                    continue
+                spent = trial.get(user, self.spent(user))
+                if not epsilon <= (self.lifetime_epsilon - spent) + 1e-12:
+                    raise BudgetExceededError(
+                        f"user {user!r}: group charge {epsilon:g} "
+                        f"exceeds remaining budget "
+                        f"{self.lifetime_epsilon - spent:g} (lifetime "
+                        f"{self.lifetime_epsilon:g})"
+                    )
+                trial[user] = spent + epsilon
+        charged = []
+        for user in users:
+            if self.can_charge(user, epsilon):
                 self.charge(user, epsilon, label)
                 charged.append(user)
-        except BudgetExceededError:
-            if not atomic:  # pragma: no cover - charge() was pre-checked
-                raise
-            self._rollback(len(charged))
-            raise
         return tuple(charged)
-
-    def _rollback(self, n: int) -> None:
-        """Undo the last ``n`` recorded charges (atomic-group failure)."""
-        for _ in range(n):
-            undone = self._ledger.pop()
-            remaining = self.spent(undone.user) - undone.epsilon
-            if remaining <= 0.0:
-                del self._spent[undone.user]
-            else:
-                self._spent[undone.user] = remaining
 
     # ------------------------------------------------------------------
     @property
     def ledger(self) -> Tuple[Charge, ...]:
-        """Immutable view of every recorded charge."""
-        return tuple(self._ledger)
+        """Immutable view of the spend totals: one :class:`Charge` per
+        (label, user) pair, labels in the order each was first charged
+        and users within a label likewise."""
+        return tuple(
+            Charge(user=user, total=total, label=label)
+            for label, totals in self._by_label.items()
+            for user, total in totals.items()
+        )
+
+    def entry_count(self) -> int:
+        """Number of (label, user) totals held — ``len(ledger)``
+        without building it."""
+        return sum(len(totals) for totals in self._by_label.values())
 
     def total_spent(self) -> float:
         """Sum of eps across all users (a deployment-level cost figure)."""
@@ -138,19 +149,23 @@ class PrivacyAccountant:
 
         Labels are whatever callers recorded — query names for ad-hoc
         analysis, campaign fingerprints for the service's
-        cross-campaign ledger.  Keys appear in first-charge order.
+        cross-campaign ledger.  Keys follow the order in which each
+        label was first charged (to anyone); each value is the sum of
+        ``user``'s charges under that label, in charge order.
         """
-        breakdown: Dict[str, float] = {}
-        for charge in self._ledger:
-            if charge.user == user:
-                breakdown[charge.label] = (
-                    breakdown.get(charge.label, 0.0) + charge.epsilon
-                )
-        return breakdown
+        return {
+            label: totals[user]
+            for label, totals in self._by_label.items()
+            if user in totals
+        }
 
     def users(self) -> Tuple[str, ...]:
         """Every user with at least one recorded charge."""
         return tuple(self._spent)
+
+    def user_count(self) -> int:
+        """``len(users())`` without copying them."""
+        return len(self._spent)
 
     def exhausted_users(self) -> Tuple[str, ...]:
         """Users with (numerically) no budget left."""
@@ -162,34 +177,42 @@ class PrivacyAccountant:
     def to_dict(self) -> Dict[str, Any]:
         """JSON-friendly snapshot of the full accounting state.
 
-        Carries both the per-user spent map and the charge ledger so a
-        service can persist budgets across restarts;
+        Carries the per-user spent map and the per-label totals, so its
+        size is O(users x labels) however many charges were made;
         :meth:`from_dict` round-trips exactly (floats survive JSON
         bitwise — ``json`` serializes them via ``repr`` round-trip).
         """
         return {
             "lifetime_epsilon": self.lifetime_epsilon,
             "spent": dict(self._spent),
-            "ledger": [
-                {"user": c.user, "epsilon": c.epsilon, "label": c.label}
-                for c in self._ledger
-            ],
+            "by_label": {
+                label: dict(totals)
+                for label, totals in self._by_label.items()
+            },
         }
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "PrivacyAccountant":
-        """Rebuild an accountant from :meth:`to_dict` output."""
+        """Rebuild an accountant from :meth:`to_dict` output.
+
+        Also reads the older encoding, a ``"ledger"`` list with one
+        ``{"user", "epsilon", "label"}`` entry per charge: the entries
+        are summed into the per-label totals in list order, which is
+        the order they were charged.
+        """
         accountant = cls(lifetime_epsilon=float(payload["lifetime_epsilon"]))
         accountant._spent = {
             str(user): float(eps)
             for user, eps in payload.get("spent", {}).items()
         }
-        accountant._ledger = [
-            Charge(
-                user=str(entry["user"]),
-                epsilon=float(entry["epsilon"]),
-                label=str(entry.get("label", "")),
-            )
-            for entry in payload.get("ledger", [])
-        ]
+        by_label = accountant._by_label = {
+            str(label): {
+                str(user): float(total) for user, total in totals.items()
+            }
+            for label, totals in payload.get("by_label", {}).items()
+        }
+        for entry in payload.get("ledger", ()):
+            totals = by_label.setdefault(str(entry.get("label", "")), {})
+            user = str(entry["user"])
+            totals[user] = totals.get(user, 0.0) + float(entry["epsilon"])
         return accountant

@@ -7,9 +7,9 @@ campaign B add up on the same person.  The
 :class:`~repro.analysis.accountant.PrivacyAccountant` shared by every
 campaign on a server: each accepted report charges its campaign's
 ``spec.epsilon`` against the user's one global ``lifetime_epsilon``,
-with the campaign fingerprint recorded as the
-:class:`~repro.analysis.accountant.Charge` label so the spend can be
-broken down per campaign after the fact.
+with the campaign fingerprint as the charge label, so the accountant
+keeps a per-campaign total for every user and the spend can be broken
+down per campaign after the fact.
 
 Batch semantics mirror the single-campaign server: a batch is charged
 atomically — either every user in it (at multiplicity) has room and
@@ -69,8 +69,8 @@ class CrossCampaignLedger:
         return self.accountant.users()
 
     def spent_by_campaign(self, user: str) -> Dict[str, float]:
-        """Per-campaign breakdown of ``user``'s total spend (labels on
-        the underlying ledger are campaign fingerprints)."""
+        """Per-campaign breakdown of ``user``'s total spend (the
+        accountant's labels are campaign fingerprints)."""
         return self.accountant.spent_by_label(user)
 
     # ------------------------------------------------------------------
@@ -118,5 +118,5 @@ class CrossCampaignLedger:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"CrossCampaignLedger(lifetime_epsilon="
-            f"{self.lifetime_epsilon:g}, users={len(self.users())})"
+            f"{self.lifetime_epsilon:g}, users={self.accountant.user_count()})"
         )

@@ -250,6 +250,12 @@ class ServerMetrics:
             "Distinct users with nonzero spend in the cross-campaign "
             "ledger.",
         )
+        self.ledger_entries = self.registry.gauge(
+            "repro_ledger_entries",
+            "(user, campaign) spend totals held by the cross-campaign "
+            "ledger; its checkpoint payload grows with this, not with "
+            "the number of charges.",
+        )
         self.uptime = self.registry.gauge(
             "repro_uptime_seconds",
             "Seconds since this server object was constructed.",
@@ -322,7 +328,10 @@ class ServerMetrics:
         """Point the live-view gauges at the server's real state."""
         self.campaigns.set_function(lambda: len(server.registry))
         self.users_charged.set_function(
-            lambda: len(server.ledger.users())
+            lambda: server.accountant.user_count()
+        )
+        self.ledger_entries.set_function(
+            lambda: server.accountant.entry_count()
         )
         self.uptime.set_function(
             lambda: time.monotonic() - server._started_at

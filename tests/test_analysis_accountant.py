@@ -1,5 +1,7 @@
 """Tests for the per-user privacy budget accountant."""
 
+import json
+
 import pytest
 
 from repro.analysis.accountant import (
@@ -103,6 +105,24 @@ class TestGroupCharging:
         assert acc.ledger == ()
         assert acc.users() == ()
 
+    def test_atomic_group_rollback_is_bitwise(self):
+        """A refused atomic group leaves every total exactly as it was:
+        0.1 + 0.7 - 0.7 != 0.1 in floating point, so undoing by
+        subtraction would not."""
+        acc = PrivacyAccountant(1.0)
+        acc.charge("u", 0.1, "earlier")
+        spent_before = {"u": acc.spent("u"), "v": acc.spent("v")}
+        ledger_before = acc.ledger
+        state_before = acc.to_dict()
+        # v and the first u fit; the second u (0.8 + 0.7) does not.
+        with pytest.raises(BudgetExceededError):
+            acc.charge_group(["v", "u", "u"], 0.7, "batch", atomic=True)
+        assert {"u": acc.spent("u"), "v": acc.spent("v")} == spent_before
+        assert acc.spent("u") == 0.1
+        assert acc.ledger == ledger_before
+        assert acc.to_dict() == state_before
+        assert acc.users() == ("u",)
+
     def test_non_atomic_group_keeps_skip_semantics(self):
         acc = PrivacyAccountant(1.0)
         acc.charge("u1", 1.0)
@@ -119,6 +139,27 @@ class TestLedger:
         assert len(acc.ledger) == 2
         assert acc.ledger[0].label == "a"
         assert acc.total_spent() == pytest.approx(3.0)
+
+    def test_repeat_charges_fold_into_one_total(self):
+        acc = PrivacyAccountant(4.0)
+        for _ in range(10):
+            acc.charge("u1", 0.1, "a")
+        acc.charge("u1", 0.5, "b")
+        acc.charge("u2", 0.1, "a")
+        # One total per (label, user), labels in first-charge order.
+        assert [(c.label, c.user) for c in acc.ledger] == [
+            ("a", "u1"),
+            ("a", "u2"),
+            ("b", "u1"),
+        ]
+        expected = 0.0
+        for _ in range(10):
+            expected += 0.1
+        assert acc.ledger[0].total == expected
+        assert acc.spent_by_label("u1") == {"a": expected, "b": 0.5}
+        assert acc.spent("u1") == expected + 0.5
+        assert acc.entry_count() == len(acc.ledger) == 3
+        assert acc.user_count() == len(acc.users()) == 2
 
     def test_ledger_is_immutable_view(self):
         acc = PrivacyAccountant(4.0)
@@ -169,8 +210,6 @@ class TestSerialization:
         assert rebuilt.users() == acc.users()
 
     def test_round_trip_survives_json(self):
-        import json
-
         acc = self._populated()
         rebuilt = PrivacyAccountant.from_dict(
             json.loads(json.dumps(acc.to_dict()))
@@ -191,3 +230,50 @@ class TestSerialization:
         rebuilt = PrivacyAccountant.from_dict(acc.to_dict())
         assert rebuilt.to_dict() == acc.to_dict()
         assert rebuilt.users() == ()
+
+    def test_payload_size_independent_of_charge_count(self):
+        acc = PrivacyAccountant(100.0)
+        acc.charge("u1", 0.5, "a")
+        few = len(json.dumps(acc.to_dict()))
+        for _ in range(99):
+            acc.charge("u1", 0.5, "a")
+        assert len(json.dumps(acc.to_dict())) <= few + 2  # "50.0" vs "0.5"
+        assert len(acc.to_dict()["by_label"]["a"]) == 1
+
+    def test_legacy_charge_list_folds_in_list_order(self):
+        """Snapshots written with one ledger entry per charge still
+        load: entries are summed per (label, user) in list order."""
+        charges = [
+            ("u1", 0.1, "b"),
+            ("u2", 0.3, "a"),
+            ("u1", 0.2, "a"),
+            ("u1", 0.1, "b"),
+            ("u1", 0.7, "b"),
+        ]
+        spent = {}
+        by_label = {}
+        for user, eps, label in charges:
+            spent[user] = spent.get(user, 0.0) + eps
+            totals = by_label.setdefault(label, {})
+            totals[user] = totals.get(user, 0.0) + eps
+        legacy = {
+            "lifetime_epsilon": 2.0,
+            "spent": spent,
+            "ledger": [
+                {"user": u, "epsilon": e, "label": lab}
+                for u, e, lab in charges
+            ],
+        }
+        rebuilt = PrivacyAccountant.from_dict(json.loads(json.dumps(legacy)))
+        for user in ("u1", "u2"):
+            assert rebuilt.spent(user) == spent[user]
+        assert rebuilt.spent_by_label("u1") == {
+            "b": by_label["b"]["u1"],
+            "a": by_label["a"]["u1"],
+        }
+        assert list(rebuilt.spent_by_label("u1")) == ["b", "a"]
+        assert rebuilt.to_dict() == {
+            "lifetime_epsilon": 2.0,
+            "spent": spent,
+            "by_label": by_label,
+        }

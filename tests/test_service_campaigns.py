@@ -14,6 +14,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.campaigns import batch_multiplicity
 from repro.protocol import Protocol
 from repro.service import (
     CampaignClosedError,
@@ -716,3 +717,149 @@ class TestBackoffJitter:
         assert first == second
         for delay, base in zip(first, [0.1, 0.2, 0.25]):
             assert 0.5 * base <= delay <= base
+
+
+class TestLedgerCheckpoints:
+    """The ledger checkpoints per-campaign spend totals, so its payload
+    is O(users x campaigns) however many batches were charged."""
+
+    def test_resume_from_per_charge_ledger_snapshot(self, serve, tmp_path):
+        """A manifest whose ledger is the older one-entry-per-charge
+        list resumes with every total bitwise and each user's
+        per-campaign spend equal to the list-order sums."""
+        mean = _mean_protocol(0.3)
+        freq = _freq_protocol(0.1, domain=8)
+        store = SnapshotStore(tmp_path)
+        server = serve(
+            mean,
+            lifetime_epsilon=5.0,
+            campaigns=[freq.spec],
+            store=store,
+            checkpoint_every=1,
+        )
+        base = ServiceClient("127.0.0.1", server.port)
+        clients = {
+            server.fingerprint: (base, mean, 0.3),
+            wire.spec_fingerprint(freq.spec): (
+                base.for_campaign(freq.spec), freq, 0.1
+            ),
+        }
+        rng = np.random.default_rng(SEED)
+        charges = []  # (user, epsilon, campaign), in charge order
+        for i in range(6):
+            # Repeated names charge at multiplicity, in first-seen order.
+            users = ["a", "b", "a", "c"] if i % 2 else ["c", "d", "b"]
+            label = list(clients)[i % 3 % 2]
+            client, protocol, eps = clients[label]
+            reports = protocol.client().encode_batch(
+                rng.integers(0, 8, len(users))
+                if protocol is freq
+                else rng.uniform(-1, 1, len(users)),
+                rng,
+            )
+            client.submit_reports(reports, users)
+            charges += [
+                (user, count * eps, label)
+                for user, count in batch_multiplicity(users).items()
+            ]
+        ledger_before = server.ledger.to_dict()
+        server.stop()
+
+        spent = {}
+        by_campaign = {}
+        for user, eps, label in charges:
+            spent[user] = spent.get(user, 0.0) + eps
+            totals = by_campaign.setdefault(user, {})
+            totals[label] = totals.get(label, 0.0) + eps
+        assert spent == ledger_before["spent"]
+        seq, manifest = store.load_latest()
+        manifest["ledger"] = {
+            "type": "cross-campaign-ledger",
+            "lifetime_epsilon": 5.0,
+            "spent": spent,
+            "ledger": [
+                {"user": user, "epsilon": eps, "label": label}
+                for user, eps, label in charges
+            ],
+        }
+        store.save(seq, manifest)
+
+        resumed = serve(
+            mean,
+            lifetime_epsilon=5.0,
+            campaigns=[freq.spec],
+            store=SnapshotStore(tmp_path),
+            checkpoint_every=1,
+        )
+        for user, total in spent.items():
+            assert resumed.ledger.spent(user) == total
+            assert resumed.ledger.spent_by_campaign(user) == (
+                by_campaign[user]
+            )
+        assert resumed.ledger.to_dict() == ledger_before
+        # The next checkpoint writes the per-campaign totals instead.
+        resumed.checkpoint_now()
+        rewritten = SnapshotStore(tmp_path).load_latest()[1]["ledger"]
+        assert "ledger" not in rewritten
+        assert rewritten["by_label"] == ledger_before["by_label"]
+
+    def test_snapshot_bytes_flat_in_history(self, serve, tmp_path):
+        """N batches, then 10N more, from one fixed user set (sized
+        like the durable benchmark's): the manifest, which carries the
+        ledger, and the whole checkpoint stay within 10%.  What still
+        grows is one more digit per spend total and the campaign
+        payload's idempotency-key set, one key per batch."""
+        protocol = _freq_protocol(1.0, domain=8)
+        users = [f"user-{i:06d}" for i in range(2000)]
+        n = 2
+        store = SnapshotStore(tmp_path)
+        server = serve(
+            protocol,
+            lifetime_epsilon=float(11 * n),
+            store=store,
+            checkpoint_every=1,
+        )
+        client = ServiceClient("127.0.0.1", server.port)
+        rng = np.random.default_rng(SEED)
+        encoder = protocol.client()
+
+        def ingest(batches):
+            for _ in range(batches):
+                client.submit_reports(
+                    encoder.encode_batch(
+                        rng.integers(0, 8, len(users)), rng
+                    ),
+                    users,
+                )
+            seq = store.latest_sequence()
+            manifest = tmp_path / f"snapshot-{seq:010d}.json"
+            return manifest.stat().st_size, server.metrics.registry.sample(
+                "repro_checkpoint_last_bytes"
+            )
+
+        manifest_short, checkpoint_short = ingest(n)
+        manifest_long, checkpoint_long = ingest(10 * n)
+        assert server.ledger.spent(users[0]) == float(11 * n)
+        assert server.accountant.entry_count() == len(users)
+        assert manifest_long <= 1.10 * manifest_short
+        assert checkpoint_long <= 1.10 * checkpoint_short
+
+    def test_budget_health_gauges(self, serve):
+        freq = _freq_protocol()
+        server = serve(
+            _mean_protocol(), lifetime_epsilon=4.0, campaigns=[freq.spec]
+        )
+        client = ServiceClient("127.0.0.1", server.port)
+        users = _users(N)
+        client.submit(np.zeros(N), users=users, rng=0)
+        client.submit(np.zeros(N), users=users, rng=1)
+        text = client.server_metrics_text()
+        assert f"repro_users_charged {N}" in text
+        assert f"repro_ledger_entries {N}" in text
+        rng = np.random.default_rng(2)
+        client.for_campaign(freq.spec).submit(
+            rng.integers(0, 12, N // 2), users=users[: N // 2], rng=3
+        )
+        text = client.server_metrics_text()
+        assert f"repro_users_charged {N}" in text
+        assert f"repro_ledger_entries {N + N // 2}" in text
