@@ -6,8 +6,8 @@
 #   docker run -p 8321:8321 repro-service
 #
 # `docker stop` sends SIGTERM: the server answers 503 to new batches,
-# flushes its shard queues, writes a final checkpoint into the snapshot
-# volume, and exits 0 — no reports accepted-but-unpersisted are lost.
+# writes a final checkpoint into the snapshot volume, and exits 0 — no
+# reports accepted-but-unpersisted are lost.
 FROM python:3.12-slim
 
 RUN pip install --no-cache-dir numpy
@@ -34,7 +34,6 @@ STOPSIGNAL SIGTERM
 CMD ["python", "-m", "repro.service", \
      "--spec", "/app/default-spec.json", \
      "--host", "0.0.0.0", "--port", "8321", \
-     "--shards", "2", \
      "--snapshot-dir", "/snapshots", \
      "--checkpoint-every", "100", \
      "--log-format", "json"]

@@ -23,7 +23,7 @@ this module at top), so a module-level import back into
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Union
+from typing import Any, Dict, Iterator, List, Optional, Union, cast
 
 from repro.campaigns.lifecycle import CampaignState, check_transition
 from repro.obs.logging import get_logger
@@ -54,14 +54,9 @@ class Campaign:
         A :class:`Protocol`, :class:`ProtocolSpec`, or spec dict.
     default:
         Whether v1 (campaign-unaware) envelopes route here.
-    shards:
-        Number of per-shard accumulators.  ``1`` (the default) is the
-        classic single-accumulator campaign; the sharded server passes
-        its worker count and each worker owns one index of
-        :attr:`accumulators`.
     window:
         Optional :class:`~repro.stream.windows.WindowConfig` (or its
-        dict form).  When set, every shard accumulator is a
+        dict form).  When set, the accumulator is a
         :class:`~repro.stream.windows.WindowedAccumulator` over the
         protocol's accumulator factory, and the campaign answers
         ``GET /estimate?window=...`` queries.  The window config lives
@@ -74,13 +69,10 @@ class Campaign:
         self,
         protocol_or_spec: Union[Protocol, ProtocolSpec, Dict[str, Any]],
         default: bool = False,
-        shards: int = 1,
         window: Optional[Union[WindowConfig, Dict[str, Any]]] = None,
     ):
         from repro.service.wire import spec_fingerprint
 
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
         if isinstance(protocol_or_spec, Protocol):
             self.protocol = protocol_or_spec
         else:
@@ -93,10 +85,7 @@ class Campaign:
         self.fingerprint = spec_fingerprint(self.spec)
         self.default = bool(default)
         self.state = CampaignState.OPEN
-        self.shards = int(shards)
-        self.accumulators: List[ServerAccumulator] = [
-            self._new_accumulator() for _ in range(self.shards)
-        ]
+        self.accumulator = self._new_accumulator()
         self.seen_keys: set = set()
         self.batches_accepted = 0
         self.duplicates = 0
@@ -121,46 +110,32 @@ class Campaign:
         return self.window is not None
 
     @property
-    def accumulator(self) -> ServerAccumulator:
-        """The single-shard accumulator (shard 0).
-
-        The pre-sharding surface: every ``shards=1`` campaign (the
-        default) behaves exactly as before.  Sharded campaigns expose
-        :attr:`accumulators` per shard and :meth:`merged_accumulator`
-        for the fan-in view.
-        """
-        return self.accumulators[0]
-
-    @property
     def reports(self) -> int:
-        """Reports absorbed so far, across all shards."""
-        return int(sum(acc.count for acc in self.accumulators))
+        """Reports absorbed so far."""
+        return int(self.accumulator.count)
 
     def validate_batch(self, batch: Any) -> None:
         """Raise ``ValueError`` iff absorbing ``batch`` would.
 
-        Runs on the request path *before* budget is charged and the
-        batch is enqueued to a shard worker; never mutates state
-        (validation dispatches through shard 0, but every shard
-        accumulator is an identically configured twin).
+        Runs on the request path *before* budget is charged; never
+        mutates state.
         """
         if isinstance(batch, ColumnBlock):
-            self.accumulators[0].validate_columns(batch)
+            self.accumulator.validate_columns(batch)
         else:
-            self.accumulators[0].validate_reports(batch)
+            self.accumulator.validate_reports(batch)
 
-    def absorb_shard(
-        self, index: int, batch: Any, round_: Optional[int] = None
-    ) -> int:
-        """Fold one validated batch into shard ``index``; returns the
-        number of reports absorbed (the shard workers' counter).
+    def absorb_shard(self, batch: Any, round_: Optional[int] = None) -> int:
+        """Fold one validated batch into the accumulator; returns the
+        number of reports absorbed.
 
         ``round_`` routes the batch into that round's pane on windowed
         campaigns (round-less batches land in the current pane); plain
         campaigns ignore it — the round is a windowing concern, not an
-        accumulation one.
+        accumulation one.  (The name predates the single accumulator;
+        tracing hooks address the method by it.)
         """
-        acc = self.accumulators[index]
+        acc = self.accumulator
         before = acc.count
         if isinstance(acc, WindowedAccumulator) and round_ is not None:
             if isinstance(batch, ColumnBlock):
@@ -173,32 +148,16 @@ class Campaign:
             acc.absorb(batch)
         return int(acc.count - before)
 
-    def merged_accumulator(self) -> ServerAccumulator:
-        """The campaign-wide accumulator view for estimates.
-
-        ``shards=1`` returns the live accumulator itself.  Sharded
-        campaigns fold every shard's state into a fresh accumulator in
-        fixed shard order — deterministic, so re-merging after a
-        checkpoint resume is bitwise-identical — leaving the per-shard
-        state untouched.
-        """
-        if self.shards == 1:
-            return self.accumulators[0]
-        merged = self._new_accumulator()
-        for acc in self.accumulators:
-            merged.merge(acc)
-        return merged
-
     def merged_window(self) -> WindowedAccumulator:
-        """The campaign-wide *windowed* view; raises on plain campaigns."""
+        """The campaign's windowed accumulator; raises on plain
+        campaigns."""
         if self.window is None:
             raise ValueError(
                 f"campaign {self.fingerprint[:12]}... has no window "
                 f"config; only all-time estimates are available"
             )
-        merged = self.merged_accumulator()
-        assert isinstance(merged, WindowedAccumulator)
-        return merged
+        assert isinstance(self.accumulator, WindowedAccumulator)
+        return self.accumulator
 
     def heavy_tracker(self, k: int) -> HeavyHitterTracker:
         """The campaign's churn tracker, created on first use."""
@@ -208,32 +167,23 @@ class Campaign:
         return self.heavy
 
     # ------------------------------------------------------------------
-    # Live window introspection (cheap enough for metric gauges:
-    # reads per-shard pane counters, never merges accumulators)
+    # Live window introspection for the metric gauges, which only
+    # windowed campaigns register (reads pane counters, never merges
+    # panes)
     # ------------------------------------------------------------------
     def window_latest_round(self) -> int:
-        """Highest round absorbed across shards (-1 before any data)."""
-        latest = -1
-        for acc in self.accumulators:
-            if isinstance(acc, WindowedAccumulator):
-                if acc.latest_round is not None:
-                    latest = max(latest, acc.latest_round)
-        return latest
+        """Highest round absorbed (-1 before any data)."""
+        latest = cast(WindowedAccumulator, self.accumulator).latest_round
+        return -1 if latest is None else latest
 
     def window_live_panes(self) -> int:
-        """Distinct live rounds across shards."""
-        rounds: set = set()
-        for acc in self.accumulators:
-            if isinstance(acc, WindowedAccumulator):
-                rounds.update(acc.live_rounds())
-        return len(rounds)
+        """Distinct live rounds."""
+        return len(cast(WindowedAccumulator, self.accumulator).live_rounds())
 
     def window_reports(self) -> int:
-        """Reports currently held in live panes, across shards."""
+        """Reports currently held in live panes."""
         return sum(
-            sum(acc.pane_counts().values())
-            for acc in self.accumulators
-            if isinstance(acc, WindowedAccumulator)
+            cast(WindowedAccumulator, self.accumulator).pane_counts().values()
         )
 
     @property
@@ -287,7 +237,6 @@ class Campaign:
             "state": self.state.value,
             "final": self.state is not CampaignState.OPEN,
             "default": self.default,
-            "shards": self.shards,
             "reports": self.reports,
             "batches_accepted": self.batches_accepted,
             "duplicates": self.duplicates,
@@ -315,29 +264,14 @@ class Campaign:
         return entry
 
     def snapshot_payload(self) -> Dict[str, Any]:
-        """Wire-encoded accumulator state + idempotency keys.
-
-        Single-shard campaigns keep the pre-sharding payload format
-        (one ``accumulator`` entry), so their snapshots stay loadable
-        by older code; sharded campaigns write one encoded state per
-        shard under ``shard_accumulators``.
-        """
+        """Wire-encoded accumulator state + idempotency keys."""
         from repro.service.wire import encode_accumulator_state
 
-        payload: Dict[str, Any] = {
+        return {
             "fingerprint": self.fingerprint,
             "idempotency_keys": sorted(self.seen_keys),
+            "accumulator": encode_accumulator_state(self.accumulator),
         }
-        if self.shards == 1:
-            payload["accumulator"] = encode_accumulator_state(
-                self.accumulators[0]
-            )
-        else:
-            payload["shards"] = self.shards
-            payload["shard_accumulators"] = [
-                encode_accumulator_state(acc) for acc in self.accumulators
-            ]
-        return payload
 
     def restore(
         self, manifest: Dict[str, Any], payload: Dict[str, Any]
@@ -355,22 +289,17 @@ class Campaign:
                 f"{self.fingerprint[:12]!r}..."
             )
         if "shard_accumulators" in payload:
-            states = payload["shard_accumulators"]
-            if len(states) != self.shards:
-                raise ValueError(
-                    f"snapshot holds {len(states)} shard accumulators, "
-                    f"campaign is configured with {self.shards} shards — "
-                    f"restart with --shards {len(states)} to resume it"
-                )
-            for acc, state in zip(self.accumulators, states):
-                decode_accumulator_state(acc, state)
+            # Written by the retired multi-threaded ingest tier: fold
+            # the per-shard states into a fresh accumulator in index
+            # order, which is exactly the view that server estimated
+            # from, so the resumed estimates are bitwise the same.
+            self.accumulator = self._new_accumulator()
+            for state in payload["shard_accumulators"]:
+                part = self._new_accumulator()
+                decode_accumulator_state(part, state)
+                self.accumulator.merge(part)
         else:
-            # Pre-sharding payload: the whole campaign state loads into
-            # shard 0 (correct under merge — the other shards are
-            # empty), whatever the configured shard count.
-            decode_accumulator_state(
-                self.accumulators[0], payload["accumulator"]
-            )
+            decode_accumulator_state(self.accumulator, payload["accumulator"])
         self.seen_keys = set(payload.get("idempotency_keys", []))
         self.state = CampaignState.coerce(manifest["state"])
         self.default = bool(manifest.get("default", self.default))
@@ -379,7 +308,9 @@ class Campaign:
         if manifest.get("heavy") is not None:
             self.heavy = HeavyHitterTracker.from_dict(manifest["heavy"])
         self.saved_seq = manifest.get("seq")
-        self.dirty = False
+        # A folded per-shard payload is rewritten in the one-accumulator
+        # form at the next checkpoint.
+        self.dirty = "shard_accumulators" in payload
         return self
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -391,17 +322,9 @@ class Campaign:
 
 
 class CampaignRegistry:
-    """All campaigns one server instance is running, by fingerprint.
+    """All campaigns one server instance is running, by fingerprint."""
 
-    ``shards`` is a server-level property: every campaign registered
-    here gets that many per-shard accumulators, matching the server's
-    worker count.
-    """
-
-    def __init__(self, shards: int = 1):
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        self.shards = int(shards)
+    def __init__(self) -> None:
         self._campaigns: Dict[str, Campaign] = {}
         self._default: Optional[str] = None
 
@@ -422,12 +345,7 @@ class CampaignRegistry:
         shapes the accumulator state, so changing it mid-flight would
         corrupt snapshots.
         """
-        campaign = Campaign(
-            protocol_or_spec,
-            default=default,
-            shards=self.shards,
-            window=window,
-        )
+        campaign = Campaign(protocol_or_spec, default=default, window=window)
         existing = self._campaigns.get(campaign.fingerprint)
         if existing is not None:
             if (

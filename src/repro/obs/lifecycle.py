@@ -4,20 +4,20 @@ Production shutdown is a *sequence*, not an event: stop admitting new
 work, finish what is in flight, persist state, then exit 0 so the
 orchestrator knows the stop was clean.  This module holds the generic
 half of that sequence — the service layer owns the specific steps
-(answer ``POST /report`` with 503, flush shard queues, write the final
-checkpoint), see :meth:`repro.service.server.IngestionServer.drain`.
+(answer ``POST /report`` with 503, write the final checkpoint), see
+:meth:`repro.service.server.IngestionServer.drain`.
 
 The contract that makes drain *graceful* rather than merely polite:
 the snapshot a drained server leaves behind is **bitwise-equal** to
 the one an uninterrupted server would write after the same accepted
 batches.  Drain adds no state of its own — it only stops admission and
-runs the same flush + checkpoint path early.
+runs the same checkpoint path early.
 
 :class:`DrainState` is the three-step ladder (serving → draining →
 drained; strictly forward), :class:`SignalDrain` turns POSIX signals
 into an awaitable event on the loop, and :class:`DrainResult` is the
-receipt the drain path returns (what was flushed, what was persisted,
-how long it took).
+receipt the drain path returns (what was persisted, how long it
+took).
 """
 
 from __future__ import annotations
@@ -57,12 +57,10 @@ class DrainResult:
     """Receipt for one completed drain.
 
     ``checkpoint_seq`` is ``None`` when the server runs without a
-    snapshot store (nothing durable to write); ``shards_flushed`` is 0
-    for a single-shard (inline-absorb) server.
+    snapshot store (nothing durable to write).
     """
 
     checkpoint_seq: Optional[int]
-    shards_flushed: int
     batches_accepted: int
     seconds: float
 

@@ -13,7 +13,7 @@ recorded this batch's spend — double-charging past
 ``lifetime_epsilon`` without any error surfacing.
 
 This rule flags every ``await`` expression positioned between an
-``absorb(...)`` call and a ledger charge call (``charge``,
+``absorb(...)`` or ``absorb_shard(...)`` call and a ledger charge call (``charge``,
 ``charge_batch``, ``charge_group``) inside the same function of a
 service handler module.
 """
@@ -28,8 +28,9 @@ from repro.qa.core import Module, Project, Rule, Violation
 #: Modules whose handlers own the charge/absorb critical section.
 HANDLER_MODULES: Tuple[str, ...] = ("repro.service.server",)
 
-#: Method names that fold reports into an accumulator.
-ABSORB_METHODS = frozenset({"absorb"})
+#: Method names that fold reports into an accumulator
+#: (``Campaign.absorb_shard`` is the server handler's absorb).
+ABSORB_METHODS = frozenset({"absorb", "absorb_shard"})
 
 #: Method names that charge a PrivacyAccountant / CrossCampaignLedger.
 CHARGE_METHODS = frozenset({"charge", "charge_batch", "charge_group"})

@@ -185,7 +185,7 @@ class ServiceClient:
         self._retries = self.metrics_registry.counter(
             "repro_client_retries_total",
             "Transport retries, by what triggered them "
-            "(connection_error, server_error, backpressure).",
+            "(connection_error, server_error).",
             labels=("reason",),
         )
 
@@ -310,22 +310,6 @@ class ServiceClient:
                     self._retries.labels(reason="server_error").inc()
                 continue
             if response.status == 429:
-                if payload.get("error") == "backpressure":
-                    # A full shard queue is transient — honor the
-                    # server's Retry-After hint and resubmit (the
-                    # idempotency key makes this safe).
-                    last_error = None
-                    last_response = (response.status, payload)
-                    if attempt < self.retries:
-                        self._retries.labels(reason="backpressure").inc()
-                    retry_after = payload.get(
-                        "retry_after", response.getheader("Retry-After")
-                    )
-                    try:
-                        time.sleep(min(float(retry_after), 5.0))
-                    except (TypeError, ValueError):
-                        pass
-                    continue
                 raise OverBudgetError(
                     response.status, payload, attempts=attempts
                 )

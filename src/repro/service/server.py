@@ -60,16 +60,11 @@ Report batches arrive in either wire format: v1 JSON envelopes
 pack_columns`); both are checked by the same envelope machinery and
 counted per wire version in ``/healthz``.
 
-With ``shards=1`` (the default) ingestion is strictly ordered: request
-handlers run on the event loop and absorb synchronously, so
-accumulators see batches in arrival order and a checkpoint always
-captures a quiescent state.  With ``shards=N`` the handler validates,
-charges and routes each batch by idempotency key to one of N
-consistent-hash shard workers (each owning index i of every campaign's
-per-shard accumulator); a full worker queue is HTTP 429 with a
-``Retry-After`` header *before* anything is charged.  Estimates and
-checkpoints flush the workers first, then merge shards in fixed order
-— deterministic, so kill-and-resume stays bitwise.
+Ingestion is strictly ordered: request handlers run on the event loop
+and absorb synchronously, so each campaign's accumulator sees batches
+in arrival order and an estimate or checkpoint always reads a
+quiescent state — which is what keeps kill-and-resume and drain
+bitwise.
 
 The HTTP layer is a deliberately minimal HTTP/1.1 implementation over
 ``asyncio.start_server`` (no third-party dependency, connection per
@@ -102,7 +97,6 @@ from repro.obs.metrics import (
 from repro.protocol.facade import Protocol
 from repro.protocol.spec import ProtocolSpec
 from repro.service import wire
-from repro.service.sharding import ShardRing, ShardWorker
 from repro.service.store import SnapshotStore
 from repro.stream.windows import WindowConfig
 
@@ -122,9 +116,6 @@ _STATUS_TEXT = {
 
 #: Upper bound on accepted request bodies (64 MiB of JSON).
 MAX_BODY_BYTES = 64 * 1024 * 1024
-
-#: ``Retry-After`` (seconds) suggested on shard-queue backpressure.
-BACKPRESSURE_RETRY_AFTER = 1
 
 #: ``Retry-After`` (seconds) suggested while the server is draining —
 #: long enough that a well-behaved client gives up on this replica.
@@ -161,9 +152,8 @@ class ServerMetrics:
       says) — ``/healthz`` and the checkpoint logic *read these back*,
       so they are the single source of truth: batches accepted (which
       doubles as the snapshot sequence and is restored on resume),
-      duplicates, per-wire-version batch counts, shard queue depths
-      (live callbacks into the workers), checkpoint latency/size, and
-      campaign/ledger views.
+      duplicates, per-wire-version batch counts, checkpoint
+      latency/size, and campaign/ledger views.
     * **Request-path observation** (``instrument=False`` swaps these
       for no-ops) — per-campaign ingest throughput, batch-handling and
       request latency histograms, HTTP rejection counters, per-user
@@ -202,33 +192,14 @@ class ServerMetrics:
             # Pre-seed both series so /metrics shows an explicit zero
             # (and healthz its key) before the first batch arrives.
             self.wire_batches.labels(wire_version=str(version))
-        self.shard_queue_depth = self.registry.gauge(
-            "repro_shard_queue_depth",
-            "Batches waiting in each shard worker's bounded queue "
-            "(live view; empty on a single-shard server).",
-            labels=("shard",),
-        )
-        self.shard_absorbed = self.registry.gauge(
-            "repro_shard_absorbed_batches",
-            "Batches each shard worker has absorbed since process "
-            "start (live view of the worker counter).",
-            labels=("shard",),
-        )
-        self.shard_errors = self.registry.gauge(
-            "repro_shard_absorb_errors",
-            "Residual absorb errors per shard worker — validated "
-            "batches cannot fail on client data, so nonzero means a "
-            "server-side bug.",
-            labels=("shard",),
-        )
         self.checkpoints = self.registry.counter(
             "repro_checkpoints_total",
             "Snapshots written (periodic, explicit, and drain-time).",
         )
         self.checkpoint_seconds = self.registry.histogram(
             "repro_checkpoint_seconds",
-            "Wall-clock latency of one full checkpoint (shard flush + "
-            "campaign payloads + manifest).",
+            "Wall-clock latency of one full checkpoint (campaign "
+            "payloads + manifest).",
         )
         self.checkpoint_bytes = self.registry.gauge(
             "repro_checkpoint_last_bytes",
@@ -237,8 +208,8 @@ class ServerMetrics:
         )
         self.campaign_reports = self.registry.gauge(
             "repro_campaign_reports",
-            "Reports absorbed per campaign, summed across shards "
-            "(live view of the accumulators).",
+            "Reports absorbed per campaign (live view of the "
+            "accumulators).",
             labels=("campaign",),
         )
         self.campaigns = self.registry.gauge(
@@ -276,7 +247,7 @@ class ServerMetrics:
         self.batch_seconds = observed.histogram(
             "repro_batch_handle_seconds",
             "POST /report handling latency per batch (decode, "
-            "validate, charge, absorb/enqueue), by campaign.",
+            "validate, charge, absorb), by campaign.",
             labels=("campaign",),
         )
         self.request_seconds = observed.histogram(
@@ -311,8 +282,7 @@ class ServerMetrics:
         )
         self.campaign_window_panes = self.registry.gauge(
             "repro_campaign_window_live_panes",
-            "Distinct live ring panes per windowed campaign, across "
-            "shards.",
+            "Distinct live ring panes per windowed campaign.",
             labels=("campaign",),
         )
         self.campaign_window_reports = self.registry.gauge(
@@ -338,18 +308,6 @@ class ServerMetrics:
         )
         self.draining.set_function(
             lambda: 0.0 if server.drain_state is DrainState.SERVING else 1.0
-        )
-
-    def track_worker(self, worker: ShardWorker) -> None:
-        shard = str(worker.index)
-        self.shard_queue_depth.labels(shard=shard).set_function(
-            worker.depth
-        )
-        self.shard_absorbed.labels(shard=shard).set_function(
-            lambda: worker.absorbed_batches
-        )
-        self.shard_errors.labels(shard=shard).set_function(
-            lambda: worker.errors
         )
 
     def track_campaign(self, campaign: Campaign) -> None:
@@ -402,13 +360,6 @@ class IngestionServer:
         :meth:`start`).
     campaigns:
         Additional (non-default) campaign specs to register at boot.
-    shards:
-        Number of shard workers.  ``1`` (the default) keeps the classic
-        inline event-loop ingest; ``N > 1`` starts N absorption threads
-        behind bounded queues with consistent-hash routing.
-    shard_queue_depth:
-        Bound on each shard worker's queue (batches); a full queue is
-        HTTP 429 backpressure with ``Retry-After``.
     metrics_registry:
         Mount the server's instruments on an existing
         :class:`~repro.obs.metrics.MetricsRegistry` (embedding hosts
@@ -438,8 +389,6 @@ class IngestionServer:
         host: str = "127.0.0.1",
         port: int = 0,
         campaigns: Optional[Iterable[SpecLike]] = None,
-        shards: int = 1,
-        shard_queue_depth: int = 64,
         metrics_registry: Optional[MetricsRegistry] = None,
         instrument: bool = True,
         window: Optional[Union[WindowConfig, Dict[str, Any]]] = None,
@@ -451,21 +400,8 @@ class IngestionServer:
                 )
             if store is None:
                 raise ValueError("checkpoint_every requires a store")
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
         self.metrics = ServerMetrics(metrics_registry, instrument)
-        self.shards = int(shards)
-        self.registry = CampaignRegistry(shards=self.shards)
-        self._ring: Optional[ShardRing] = None
-        self._workers: Optional[list] = None
-        if self.shards > 1:
-            self._ring = ShardRing(self.shards)
-            self._workers = [
-                ShardWorker(i, queue_depth=shard_queue_depth).start()
-                for i in range(self.shards)
-            ]
-            for worker in self._workers:
-                self.metrics.track_worker(worker)
+        self.registry = CampaignRegistry()
         if window is not None and not isinstance(window, WindowConfig):
             window = WindowConfig.from_dict(window)
         self.window = window
@@ -627,17 +563,6 @@ class IngestionServer:
             },
         )
 
-    def _flush_shards(self) -> None:
-        """Barrier: wait until every enqueued batch has been absorbed.
-
-        Estimates and checkpoints run behind this, so they always see
-        (and persist) a state covering exactly the accepted batches —
-        the quiescence the inline single-shard path gets for free.
-        """
-        if self._workers is not None:
-            for worker in self._workers:
-                worker.flush()
-
     def checkpoint_now(self) -> int:
         """Write a full snapshot — every dirty campaign's payload into
         its namespace, then the root manifest — and return its seq.
@@ -649,7 +574,6 @@ class IngestionServer:
         if self.store is None:
             raise RuntimeError("server has no snapshot store")
         started = time.perf_counter()
-        self._flush_shards()
         seq = self.metrics.batches_accepted.value_int()
         written_bytes = 0
         for campaign in self.registry:
@@ -748,18 +672,6 @@ class IngestionServer:
                 ).value_int()
                 for v in wire.SUPPORTED_WIRE_VERSIONS
             },
-            "shards": {
-                "count": self.shards,
-                "queue_depths": [
-                    w.depth() for w in self._workers or ()
-                ],
-                "absorbed_batches": [
-                    w.absorbed_batches for w in self._workers or ()
-                ],
-                "absorb_errors": [
-                    w.errors for w in self._workers or ()
-                ],
-            },
             "resumed_from_snapshot": self._resumed_from,
             "users_charged": int(m.users_charged.value),
             "lifetime_epsilon": self.ledger.lifetime_epsilon,
@@ -815,9 +727,6 @@ class IngestionServer:
             return error
         if query.get("window") is not None or query.get("decay") is not None:
             return self._handle_window_estimate(campaign, query)
-        # Quiesce the shard workers so the estimate covers every batch
-        # accepted so far, then merge the shards in fixed order.
-        self._flush_shards()
         if campaign.reports == 0:
             return 409, {
                 "error": "no_reports",
@@ -831,7 +740,7 @@ class IngestionServer:
             campaign.mark_estimated()
             self._checkpoint_if_durable()
         try:
-            estimate = campaign.merged_accumulator().estimate()
+            estimate = campaign.accumulator.estimate()
         except TypeError as exc:
             # A decay-configured campaign whose protocol kind has no
             # linear estimate (histogram projection, mixed tuples).
@@ -874,7 +783,6 @@ class IngestionServer:
             )
         except ValueError as exc:
             return 400, {"error": "bad_window", "detail": str(exc)}
-        self._flush_shards()
         merged = campaign.merged_window()
         try:
             if decay is not None:
@@ -944,7 +852,6 @@ class IngestionServer:
                 panes = campaign.window.resolve_panes(query.get("window"))
             except ValueError as exc:
                 return 400, {"error": "bad_window", "detail": str(exc)}
-        self._flush_shards()
         round_: Optional[int] = None
         try:
             if campaign.windowed:
@@ -964,7 +871,7 @@ class IngestionServer:
                     }
                 if campaign.reports == 0:
                     raise ValueError("no reports received yet")
-                estimate = campaign.merged_accumulator().estimate()
+                estimate = campaign.accumulator.estimate()
                 reports = int(campaign.reports)
         except ValueError as exc:
             return 409, {
@@ -1174,33 +1081,11 @@ class IngestionServer:
             }
 
         # Validate before charging: a shape/protocol violation the
-        # codec could not catch must not consume anyone's budget.  On
-        # the sharded path this runs the checks the worker's absorb
-        # would, so a batch that reaches a worker queue cannot fail on
-        # client data.
+        # codec could not catch must not consume anyone's budget.
         try:
             campaign.validate_batch(batch)
         except ValueError as exc:
             return 400, {"error": "bad_reports", "detail": str(exc)}
-
-        # Backpressure before budget: a full shard queue rejects the
-        # batch retryably (429 + Retry-After) with nothing charged.
-        # The capacity check cannot go stale — handlers are the only
-        # producers and run single-threaded on the event loop.
-        worker = None
-        if self._workers is not None:
-            route_key = (
-                str(key) if key is not None
-                else f"batch:{self.metrics.batches_accepted.value_int()}"
-            )
-            worker = self._workers[self._ring.route(route_key)]
-            if not worker.has_capacity():
-                return 429, {
-                    "error": "backpressure",
-                    "campaign": campaign.fingerprint,
-                    "shard": worker.index,
-                    "retry_after": BACKPRESSURE_RETRY_AFTER,
-                }
 
         # Budget enforcement is atomic per batch *against the global
         # cross-campaign ledger*: either every user has room for all
@@ -1223,15 +1108,10 @@ class IngestionServer:
                 "lifetime_epsilon": self.ledger.lifetime_epsilon,
             }
 
-        if worker is not None:
-            # Validated and pre-checked: hand off to the shard worker
-            # (absorption happens off-loop, in per-shard FIFO order).
-            worker.submit(campaign, batch, round_)
-        else:
-            try:
-                campaign.absorb_shard(0, batch, round_)
-            except ValueError as exc:  # pragma: no cover - validated
-                return 400, {"error": "bad_reports", "detail": str(exc)}
+        try:
+            campaign.absorb_shard(batch, round_)
+        except ValueError as exc:  # pragma: no cover - validated
+            return 400, {"error": "bad_reports", "detail": str(exc)}
         self.ledger.charge_batch(
             multiplicity, epsilon, campaign=campaign.fingerprint
         )
@@ -1254,11 +1134,7 @@ class IngestionServer:
         if _log.isEnabledFor(10):  # DEBUG — skip extra-dict on hot path
             _log.debug(
                 "batch accepted",
-                extra={
-                    "reports": n,
-                    "wire_version": wire_version,
-                    "sharded": worker is not None,
-                },
+                extra={"reports": n, "wire_version": wire_version},
             )
         if key is not None:
             campaign.seen_keys.add(key)
@@ -1380,9 +1256,7 @@ class IngestionServer:
                 body = json.dumps(payload).encode("utf-8")
                 content_type = "application/json"
             extra = ""
-            if status in (429, 503) and isinstance(payload, dict) and (
-                payload.get("retry_after") is not None
-            ):
+            if status == 503 and payload.get("retry_after") is not None:
                 extra = f"Retry-After: {int(payload['retry_after'])}\r\n"
             writer.write(
                 (
@@ -1483,28 +1357,23 @@ class IngestionServer:
             )
 
     def drain(self) -> DrainResult:
-        """Graceful drain: refuse new batches, flush every shard queue,
-        write the final checkpoint, and report what was persisted.
+        """Graceful drain: refuse new batches, write the final
+        checkpoint, and report what was persisted.
 
         The snapshot this leaves behind is **bitwise-equal** to the one
         an uninterrupted server would write after the same accepted
-        batches — drain adds no state, it only runs the ordinary flush
-        + checkpoint path early.  Idempotent: a second call flushes
-        nothing new and (with a store) rewrites the same sequence.
+        batches — drain adds no state, it only runs the ordinary
+        checkpoint path early.  Idempotent: a second call (with a
+        store) rewrites the same sequence.
         """
         started = time.perf_counter()
         self.begin_drain()
-        shards_flushed = 0
-        if self._workers is not None:
-            self._flush_shards()
-            shards_flushed = len(self._workers)
         checkpoint_seq: Optional[int] = None
         if self.store is not None:
             checkpoint_seq = self.checkpoint_now()
         self._drain_state = advance(self._drain_state, DrainState.DRAINED)
         result = DrainResult(
             checkpoint_seq=checkpoint_seq,
-            shards_flushed=shards_flushed,
             batches_accepted=self.metrics.batches_accepted.value_int(),
             seconds=time.perf_counter() - started,
         )
@@ -1512,7 +1381,6 @@ class IngestionServer:
             "drain complete",
             extra={
                 "checkpoint_seq": result.checkpoint_seq,
-                "shards_flushed": result.shards_flushed,
                 "batches_accepted": result.batches_accepted,
                 "seconds": round(result.seconds, 6),
             },
@@ -1533,7 +1401,6 @@ class IngestionServer:
             extra={
                 "host": self.host,
                 "port": self.port,
-                "shards": self.shards,
                 "campaigns": len(self.registry),
             },
         )
@@ -1551,13 +1418,6 @@ class IngestionServer:
             self._asyncio_server.close()
             await self._asyncio_server.wait_closed()
             self._asyncio_server = None
-        self._stop_workers()
-
-    def _stop_workers(self) -> None:
-        """Drain and join the shard workers (idempotent)."""
-        if self._workers is not None:
-            for worker in self._workers:
-                worker.stop()
 
     def run_in_thread(self) -> "IngestionServer":
         """Serve from a daemon thread; returns once the port is bound.
@@ -1613,7 +1473,6 @@ class IngestionServer:
         self._thread.join(timeout=10)
         self._thread = None
         self._loop = None
-        self._stop_workers()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

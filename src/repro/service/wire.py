@@ -44,8 +44,8 @@ from repro.protocol.spec import ProtocolSpec
 #: (:func:`pack_columns` / :func:`unpack_columns`).
 WIRE_VERSION = 1
 
-#: The binary columnar wire format introduced for the sharded
-#: ingestion tier: one JSON header + packed little-endian arrays.
+#: The binary columnar wire format: one JSON header + packed
+#: little-endian arrays.
 WIRE_VERSION_COLUMNAR = 2
 
 #: Every wire version this codec can decode.  Servers advertise this
@@ -589,8 +589,9 @@ def unpack(
     """Validate an envelope and return its payload.
 
     Raises :class:`WireFormatError` on a missing/unknown wire version
-    and :class:`SpecMismatchError` when the sender's protocol
-    fingerprint differs from ``expected_fingerprint``.
+    or a non-string ``idempotency_key``, and :class:`SpecMismatchError`
+    when the sender's protocol fingerprint differs from
+    ``expected_fingerprint``.
     """
     version = envelope.get("wire_version")
     if version not in SUPPORTED_WIRE_VERSIONS:
@@ -609,4 +610,11 @@ def unpack(
     payload = envelope.get("payload")
     if not isinstance(payload, dict):
         raise WireFormatError("envelope carries no payload object")
+    # Keys are hashed into, and sorted within, a campaign's key set.
+    key = payload.get("idempotency_key")
+    if key is not None and not isinstance(key, str):
+        raise WireFormatError(
+            f"idempotency_key must be a string or null, got "
+            f"{type(key).__name__}"
+        )
     return payload

@@ -18,7 +18,8 @@ query time.  Reports with no round land in the current (latest) round.
 Determinism: pane membership is exact (integral round arithmetic), the
 ring evicts and merges in ascending round order, and the pane merge
 tree folds in fixed order — so snapshots (``state_dict`` holds every
-pane plus the expired tail) resume bitwise, sharded or not.
+pane plus the expired tail) resume bitwise, and merging accumulators
+in a fixed order always gives the same bits.
 
 The exponentially-decayed variant
 (:class:`DecayedWindowedAccumulator`, or
@@ -301,14 +302,15 @@ class WindowedAccumulator(ServerAccumulator):
         self.template.validate_columns(block)
 
     # ------------------------------------------------------------------
-    # Merge (shard fan-in) and estimates
+    # Merge and estimates
     # ------------------------------------------------------------------
     def merge(self, other: "ServerAccumulator") -> "WindowedAccumulator":
         """Fold another windowed accumulator in, aligning rounds.
 
         Expired tails merge first, then the other ring's panes in
-        ascending round order — fixed order, so the sharded fan-in is
-        deterministic (and exact for integral counts).
+        ascending round order — fixed order, so folding several
+        accumulators together is deterministic (and exact for integral
+        counts).
         """
         if not isinstance(other, WindowedAccumulator):
             raise ValueError(

@@ -25,6 +25,7 @@ from repro.service import (
     SnapshotStore,
     wire,
 )
+from repro.stream import WindowConfig
 
 SEED = 90
 N = 200
@@ -565,6 +566,114 @@ class TestKillAndResume:
             IngestionServer(
                 _mean_protocol(2.0), store=SnapshotStore(tmp_path)
             )
+
+
+class TestShardedSnapshotResume:
+    """Snapshots written by a server that split each campaign over
+    several shard accumulators (``shard_accumulators`` payloads) resume
+    into the one accumulator, bitwise."""
+
+    SHARDS = 3
+
+    @pytest.mark.parametrize(
+        "protocol, window",
+        [
+            (Protocol.multidim(4.0, d=8, mechanism="hm"), None),
+            (_freq_protocol(1.0, domain=8), None),
+            (Protocol.multidim(4.0, d=8, mechanism="hm"), {"panes": 3}),
+            (Protocol.frequency(1.0, domain=8, oracle="oue"), {"panes": 3}),
+        ],
+        ids=["plain-hm", "plain-oue", "windowed-hm", "windowed-oue"],
+    )
+    def test_resume_folds_shards_in_index_order(
+        self, serve, tmp_path, protocol, window
+    ):
+        rng = np.random.default_rng(SEED)
+        encoder = protocol.client()
+        batches = []
+        for r in range(6):
+            values = (
+                rng.integers(0, 8, 25)
+                if protocol.spec.kind == "frequency"
+                else rng.uniform(-1, 1, (25, 8))
+            )
+            batches.append(
+                (encoder.encode_batch(values, rng), _users(25, f"r{r}-"))
+            )
+        def submit(client, r):
+            reports, users = batches[r]
+            round_ = r if window is not None else None
+            return client.submit_reports(reports, users, round=round_)
+
+        store = SnapshotStore(tmp_path)
+        boot = dict(store=store, checkpoint_every=1, window=window)
+        server = serve(protocol, **boot)
+        client = ServiceClient("127.0.0.1", server.port)
+        for r in range(len(batches)):
+            submit(client, r)
+        server.stop()
+
+        # What a sharded server would have held: batch r on shard
+        # r % SHARDS, each shard folding its batches in arrival order.
+        def fresh():
+            if window is None:
+                return protocol.server()
+            return WindowConfig.from_dict(window).build(protocol.server)
+
+        shards = [fresh() for _ in range(self.SHARDS)]
+        for r, (reports, _) in enumerate(batches):
+            shard = shards[r % self.SHARDS]
+            if window is None:
+                shard.absorb(reports)
+            else:
+                shard.absorb_round(r, reports)
+        reference = fresh()
+        for shard in shards:
+            reference.merge(shard)
+
+        fp = server.fingerprint
+        _, manifest = store.load_latest()
+        entry_seq = manifest["campaigns"][fp]["seq"]
+        namespace = store.namespace(fp)
+        written = namespace.load(entry_seq)
+        namespace.save(
+            entry_seq,
+            {
+                "fingerprint": fp,
+                "idempotency_keys": written["idempotency_keys"],
+                "shards": self.SHARDS,
+                "shard_accumulators": [
+                    wire.encode_accumulator_state(shard) for shard in shards
+                ],
+            },
+        )
+
+        def assert_served_equals_reference(port):
+            resumed_client = ServiceClient("127.0.0.1", port)
+            assert wire.encode_estimate(resumed_client.estimate()) == (
+                wire.encode_estimate(reference.estimate())
+            )
+            if window is not None:
+                for panes in (1, 3):
+                    assert wire.encode_estimate(
+                        resumed_client.estimate(window=panes)
+                    ) == wire.encode_estimate(
+                        reference.window_estimate(panes)
+                    )
+            return resumed_client
+
+        resumed = serve(protocol, **boot)
+        resumed_client = assert_served_equals_reference(resumed.port)
+        # Checkpointed batches still answer as duplicates.
+        assert submit(resumed_client, 0)["status"] == "duplicate"
+
+        seq = resumed_client.checkpoint()
+        rewritten = namespace.load(seq)
+        assert "accumulator" in rewritten
+        assert "shard_accumulators" not in rewritten
+        assert "shards" not in rewritten
+        resumed.stop()
+        assert_served_equals_reference(serve(protocol, **boot).port)
 
 
 class TestHealthz:

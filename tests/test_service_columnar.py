@@ -1,14 +1,12 @@
-"""Sharded ingestion tier: mixed-fleet e2e, routing, backpressure.
+"""Columnar (v2) wire format end-to-end: negotiation and mixed fleets.
 
-These tests drive the v2 (columnar) wire format and the shard/merge
-tier end-to-end: a v1 JSON client and a v2 columnar client ingesting
-concurrently into the same campaign must land in the same aggregate,
-bitwise; a kill-and-resume under a sharded server must match an
-uninterrupted run; and a full shard queue must reject retryably (429 +
-Retry-After) with nothing charged.
+A v1 JSON client and a v2 columnar client ingesting concurrently into
+the same campaign must land in the same aggregate, bitwise; columnar
+batches get the same duplicate, validation and fingerprint handling as
+JSON envelopes; and a kill-and-resume driven by the (default) v2 SDK
+must match an uninterrupted run.
 """
 
-import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -22,7 +20,6 @@ from repro.service import (
     SnapshotStore,
     wire,
 )
-from repro.service.sharding import ShardRing, ShardWorker
 
 SEED = 77
 N = 400
@@ -115,7 +112,7 @@ class TestNegotiation:
 class TestMixedFleet:
     def test_v1_and_v2_clients_concurrently_bitwise_equal(self, serve):
         """The headline invariant: a mixed v1/v2 fleet ingesting
-        concurrently into a sharded campaign reproduces a single local
+        concurrently into one campaign reproduces a single local
         ``Protocol.run`` bitwise (frequency counts are integral, so
         arrival order cannot perturb them)."""
         protocol = _protocol()
@@ -133,7 +130,7 @@ class TestMixedFleet:
             user_chunks.append(users[start : start + len(chunk)])
             start += len(chunk)
 
-        server = serve(protocol, shards=3)
+        server = serve(protocol)
         v1 = ServiceClient("127.0.0.1", server.port, wire_version=1)
         v2 = ServiceClient("127.0.0.1", server.port)
         assert v2.negotiated_wire_version == wire.WIRE_VERSION_COLUMNAR
@@ -159,12 +156,6 @@ class TestMixedFleet:
         health = v2.healthz()
         assert health["reports"] == N
         assert health["wire_versions"] == {"1": 4, "2": 4}
-        assert health["shards"]["count"] == 3
-        assert len(health["shards"]["queue_depths"]) == 3
-        assert sum(health["shards"]["absorbed_batches"]) == 8
-        assert health["shards"]["absorb_errors"] == [0, 0, 0]
-        # /estimate flushed every shard before answering.
-        assert health["shards"]["queue_depths"] == [0, 0, 0]
 
     def test_columnar_duplicate_detection(self, serve):
         protocol = _protocol()
@@ -210,7 +201,7 @@ class TestMixedFleet:
         assert excinfo.value.status == 409
 
 
-class TestShardedDurability:
+class TestDurability:
     def _batches(self, protocol, count=6, size=30):
         encoder = protocol.client()
         out = []
@@ -228,12 +219,12 @@ class TestShardedDurability:
             )
         return out
 
-    def test_kill_and_resume_sharded_bitwise(self, serve, tmp_path):
+    def test_kill_and_resume_bitwise(self, serve, tmp_path):
         protocol = _protocol()
         batches = self._batches(protocol)
 
-        # Uninterrupted twin: same shard count, same submission order.
-        control = serve(protocol, shards=2)
+        # Uninterrupted twin: same submission order.
+        control = serve(protocol)
         control_client = ServiceClient("127.0.0.1", control.port)
         for reports, users in batches:
             control_client.submit_reports(reports, users=users)
@@ -242,7 +233,6 @@ class TestShardedDurability:
             protocol,
             store=SnapshotStore(tmp_path),
             checkpoint_every=2,
-            shards=2,
         )
         client = ServiceClient("127.0.0.1", first.port)
         for reports, users in batches[:4]:
@@ -253,9 +243,7 @@ class TestShardedDurability:
             protocol,
             store=SnapshotStore(tmp_path),
             checkpoint_every=2,
-            shards=2,
         )
-        assert second.port != first.port or True  # ports are ephemeral
         resumed = ServiceClient("127.0.0.1", second.port)
         assert resumed.healthz()["resumed_from_snapshot"] is not None
         # Replay everything: checkpointed batches answer as duplicates
@@ -269,151 +257,10 @@ class TestShardedDurability:
             np.asarray(control_client.estimate()),
         )
 
-    def test_resume_refuses_shard_count_mismatch(self, serve, tmp_path):
-        protocol = _protocol()
-        first = serve(
-            protocol,
-            store=SnapshotStore(tmp_path),
-            checkpoint_every=1,
-            shards=2,
-        )
-        client = ServiceClient("127.0.0.1", first.port)
-        reports, users = self._batches(protocol, count=1)[0]
-        client.submit_reports(reports, users=users)
-        first.stop()
-
-        with pytest.raises(ValueError, match="--shards"):
-            IngestionServer(
-                protocol,
-                store=SnapshotStore(tmp_path),
-                shards=3,
-            )
-
-    def test_single_shard_snapshot_loads_into_sharded_server(
-        self, serve, tmp_path
-    ):
-        # A v1-era (single accumulator) snapshot restores into shard 0
-        # of a sharded server; the merge over empty siblings is exact.
-        protocol = _protocol()
-        batches = self._batches(protocol)
-        first = serve(
-            protocol, store=SnapshotStore(tmp_path), checkpoint_every=1
-        )
-        client = ServiceClient("127.0.0.1", first.port)
-        for reports, users in batches[:3]:
-            client.submit_reports(reports, users=users)
-        first.stop()
-
-        second = serve(
-            protocol,
-            store=SnapshotStore(tmp_path),
-            checkpoint_every=1,
-            shards=3,
-        )
-        resumed = ServiceClient("127.0.0.1", second.port)
-        for reports, users in batches[3:]:
-            resumed.submit_reports(reports, users=users)
-
-        reference = protocol.server()
-        for reports, _ in batches:
-            reference.absorb(reports)
-        np.testing.assert_array_equal(
-            np.asarray(resumed.estimate()),
-            np.asarray(reference.estimate()),
-        )
-
-
-class TestBackpressure:
-    def test_full_shard_queue_rejects_retryably(self):
-        # Freeze the workers (stop them so nothing drains), then drive
-        # the handler directly: the first batch fills the depth-1
-        # queue, the second must bounce with 429/Retry-After and leave
-        # the ledger and idempotency set untouched.
-        protocol = _protocol()
-        server = IngestionServer(protocol, shards=2, shard_queue_depth=1)
-        server._stop_workers()
-        encoder = protocol.client()
-
-        def envelope(i, key):
-            chunk = np.random.default_rng(i).integers(0, DOMAIN, 5)
-            reports = encoder.encode_batch(
-                chunk, np.random.default_rng(i)
-            )
-            return wire.pack(
-                {
-                    "users": _users(5, prefix=f"bp{i}-"),
-                    "idempotency_key": key,
-                    "reports": wire.encode_reports(reports),
-                },
-                server.fingerprint,
-            )
-
-        # Pick two keys that route to the same shard.
-        target = server._ring.route("key-0")
-        other = next(
-            f"key-{i}"
-            for i in range(1, 1000)
-            if server._ring.route(f"key-{i}") == target
-        )
-
-        status, payload = server._handle_report(envelope(0, "key-0"))
-        assert status == 200
-
-        status, payload = server._handle_report(envelope(1, other))
-        assert status == 429
-        assert payload["error"] == "backpressure"
-        assert payload["shard"] == target
-        assert payload["retry_after"] >= 1
-        # Nothing charged, key not burned: a retry is a fresh attempt.
-        assert len(server.ledger.users()) == 5
-        assert other not in server.registry.default.seen_keys
-
-    def test_shard_ring_is_deterministic_and_covers_all_shards(self):
-        ring = ShardRing(4)
-        routes = [ring.route(f"k{i}") for i in range(1000)]
-        assert routes == [ring.route(f"k{i}") for i in range(1000)]
-        assert set(routes) == {0, 1, 2, 3}
-        # Stable across instances (restart-stable routing).
-        twin = ShardRing(4)
-        assert routes[:50] == [twin.route(f"k{i}") for i in range(50)]
-
-    def test_worker_capacity_and_flush(self):
-        class FakeCampaign:
-            def __init__(self):
-                self.batches = []
-
-            def absorb_shard(self, index, batch, round_=None):
-                self.batches.append((index, batch))
-                return 1
-
-        worker = ShardWorker(0, queue_depth=2)
-        campaign = FakeCampaign()
-        worker.submit(campaign, "a")
-        worker.submit(campaign, "b")
-        assert not worker.has_capacity()
-        assert worker.depth() == 2
-        worker.start()
-        worker.flush()
-        assert worker.depth() == 0
-        assert worker.absorbed_batches == 2
-        assert campaign.batches == [(0, "a"), (0, "b")]
-        worker.stop()
-        worker.stop()  # idempotent
-
 
 class TestHealthz:
-    def test_fresh_sharded_server_shape(self, serve):
-        server = serve(_protocol(), shards=2)
-        health = ServiceClient("127.0.0.1", server.port).healthz()
-        assert health["wire_versions"] == {"1": 0, "2": 0}
-        shards = health["shards"]
-        assert shards["count"] == 2
-        assert shards["queue_depths"] == [0, 0]
-        assert shards["absorbed_batches"] == [0, 0]
-        assert shards["absorb_errors"] == [0, 0]
-
-    def test_unsharded_server_reports_single_shard(self, serve):
+    def test_fresh_server_shape(self, serve):
         server = serve(_protocol())
         health = ServiceClient("127.0.0.1", server.port).healthz()
-        assert health["shards"]["count"] == 1
-        assert health["shards"]["queue_depths"] == []
+        assert health["wire_versions"] == {"1": 0, "2": 0}
+        assert health["reports"] == 0

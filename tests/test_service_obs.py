@@ -61,7 +61,7 @@ def _scrape_raw(port):
 
 class TestMetricsEndpoint:
     def test_scrape_exposes_core_series(self, serve):
-        server = serve(_protocol(), shards=2)
+        server = serve(_protocol())
         client = ServiceClient("127.0.0.1", server.port)
         client.submit(
             np.arange(N) % 10, users=_users(N), rng=SEED
@@ -77,8 +77,7 @@ class TestMetricsEndpoint:
         assert 'repro_ingest_batches_total{wire_version="1"} 0' in text
         assert "repro_uptime_seconds" in text
         assert "repro_draining 0" in text
-        assert 'repro_shard_queue_depth{shard="0"} 0' in text
-        assert 'repro_shard_absorbed_batches{shard="1"}' in text
+        assert "repro_shard" not in text
         # Instrument-gated request-path series are on by default.
         assert "repro_request_seconds_bucket" in text
         assert 'repro_http_responses_total{endpoint="/report",status="200"} 1' in text
@@ -211,7 +210,6 @@ class TestDrainSemantics:
             _protocol(),
             store=SnapshotStore(tmp_path),
             checkpoint_every=1000,
-            shards=2,
         )
         client = ServiceClient("127.0.0.1", server.port)
         for i in range(3):
@@ -223,7 +221,6 @@ class TestDrainSemantics:
         result = server.drain()
         assert isinstance(result, DrainResult)
         assert result.checkpoint_seq == 3
-        assert result.shards_flushed == 2
         assert result.batches_accepted == 3
         assert server.drain_state is DrainState.DRAINED
         assert SnapshotStore(tmp_path).latest_sequence() == 3
@@ -233,7 +230,6 @@ class TestDrainSemantics:
         server = serve(_protocol())
         result = server.drain()
         assert result.checkpoint_seq is None
-        assert result.shards_flushed == 0
 
     def test_drain_is_idempotent(self, serve, tmp_path):
         server = serve(
@@ -264,7 +260,6 @@ def _boot_cli(tmp_path, tag, extra_args):
             "--spec", str(spec_path),
             "--port", "0",
             "--snapshot-dir", str(tmp_path / tag),
-            "--shards", "2",
             "--log-format", "json",
             *extra_args,
         ],

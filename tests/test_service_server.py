@@ -10,6 +10,7 @@ from the latest snapshot.
 import json
 import os
 import signal
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -294,6 +295,78 @@ class TestRejections:
         assert excinfo.value.status == 405
 
 
+def _with_header_key(frame, key):
+    """A v2 frame whose header carries ``key`` verbatim (``pack_columns``
+    would coerce it to a string)."""
+    (head_len,) = struct.unpack("<I", frame[4:8])
+    header = json.loads(frame[8 : 8 + head_len])
+    header["idempotency_key"] = key
+    head = json.dumps(header).encode("utf-8")
+    return (
+        frame[:4] + struct.pack("<I", len(head)) + head
+        + frame[8 + head_len :]
+    )
+
+
+class TestIdempotencyKeyType:
+    """A key that is not a string is a malformed envelope (400) on both
+    wire versions, and leaves nothing behind that breaks checkpoints."""
+
+    def _post(self, client, server, key, wire_version, users):
+        protocol = server.protocol
+        reports = protocol.client().encode_batch(
+            np.arange(len(users)) % 10, np.random.default_rng(SEED)
+        )
+        if wire_version == wire.WIRE_VERSION:
+            envelope = wire.pack(
+                {
+                    "users": users,
+                    "idempotency_key": key,
+                    "reports": wire.encode_reports(reports),
+                },
+                server.fingerprint,
+            )
+            return client._request("POST", "/report", envelope)
+        frame = wire.pack_columns(
+            wire.reports_to_columns(reports),
+            server.fingerprint,
+            users=users,
+            idempotency_key="placeholder",
+        )
+        return client._request(
+            "POST",
+            "/report",
+            raw_body=_with_header_key(frame, key),
+            content_type=wire.COLUMNAR_CONTENT_TYPE,
+        )
+
+    @pytest.mark.parametrize(
+        "wire_version", [wire.WIRE_VERSION, wire.WIRE_VERSION_COLUMNAR]
+    )
+    @pytest.mark.parametrize("key", [["a", "b"], 7])
+    def test_rejected_as_bad_envelope_and_checkpoint_still_works(
+        self, serve, tmp_path, key, wire_version
+    ):
+        protocol, _ = _cases()["frequency"]
+        store = SnapshotStore(tmp_path)
+        server = serve(protocol, store=store)
+        client = ServiceClient("127.0.0.1", server.port)
+        with pytest.raises(ServiceError) as excinfo:
+            self._post(client, server, key, wire_version, _users(4))
+        assert excinfo.value.status == 400
+        assert excinfo.value.payload["error"] == "bad_envelope"
+        assert client.healthz()["users_charged"] == 0
+        accepted = self._post(
+            client, server, "batch-0", wire_version, _users(4, "v")
+        )
+        assert accepted["status"] == "accepted"
+        seq = client.checkpoint()
+        payload = store.namespace(server.fingerprint).load(seq)
+        assert payload["idempotency_keys"] == ["batch-0"]
+        # The SIGTERM path's final checkpoint goes through the same code.
+        assert server.drain().checkpoint_seq == seq
+
+
 class TestCrashResume:
     def test_kill_and_resume_is_bitwise_equal(self, serve, tmp_path):
         protocol, values = _cases()["multidim-numeric"]
@@ -432,3 +505,20 @@ class TestCommandLine:
 
         with pytest.raises(SystemExit):
             main([])
+
+    def test_dockerfile_cmd_parses(self):
+        """The container's exec-form CMD uses only flags the CLI still
+        has (a removed flag would crash the container at start)."""
+        from repro.service.__main__ import build_parser
+
+        dockerfile = Path(__file__).resolve().parent.parent / "Dockerfile"
+        text = dockerfile.read_text(encoding="utf-8").replace("\\\n", " ")
+        (line,) = [
+            line for line in text.splitlines() if line.startswith("CMD ")
+        ]
+        command = json.loads(line[len("CMD "):])
+        module = command.index("-m")
+        assert command[module + 1] == "repro.service"
+        args = build_parser().parse_args(command[module + 2:])
+        assert args.spec == "/app/default-spec.json"
+        assert args.snapshot_dir == "/snapshots"

@@ -240,6 +240,17 @@ class TestEnvelope:
         with pytest.raises(wire.WireFormatError, match="wire_version"):
             wire.unpack(envelope, "f" * 64)
 
+    @pytest.mark.parametrize("key", [7, ["a"], {"k": 1}, 1.5, True])
+    def test_non_string_idempotency_key_rejected(self, key):
+        envelope = wire.pack({"idempotency_key": key}, "f" * 64)
+        with pytest.raises(wire.WireFormatError, match="idempotency_key"):
+            wire.unpack(envelope, "f" * 64)
+
+    @pytest.mark.parametrize("key", [None, "batch-0"])
+    def test_string_or_absent_idempotency_key_accepted(self, key):
+        envelope = wire.pack({"idempotency_key": key}, "f" * 64)
+        assert wire.unpack(envelope, "f" * 64)["idempotency_key"] == key
+
     def test_fingerprint_mismatch_rejected(self):
         spec_a = Protocol.numeric_mean(1.0, "hm").spec
         spec_b = Protocol.numeric_mean(1.0, "pm").spec
