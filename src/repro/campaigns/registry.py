@@ -114,18 +114,17 @@ class Campaign:
         """Reports absorbed so far."""
         return int(self.accumulator.count)
 
-    def validate_batch(self, batch: Any) -> None:
+    def validate_batch(self, batch: ColumnBlock) -> None:
         """Raise ``ValueError`` iff absorbing ``batch`` would.
 
         Runs on the request path *before* budget is charged; never
         mutates state.
         """
-        if isinstance(batch, ColumnBlock):
-            self.accumulator.validate_columns(batch)
-        else:
-            self.accumulator.validate_reports(batch)
+        self.accumulator.validate_columns(batch)
 
-    def absorb_shard(self, batch: Any, round_: Optional[int] = None) -> int:
+    def absorb_shard(
+        self, batch: ColumnBlock, round_: Optional[int] = None
+    ) -> int:
         """Fold one validated batch into the accumulator; returns the
         number of reports absorbed.
 
@@ -138,14 +137,9 @@ class Campaign:
         acc = self.accumulator
         before = acc.count
         if isinstance(acc, WindowedAccumulator) and round_ is not None:
-            if isinstance(batch, ColumnBlock):
-                acc.absorb_columns_round(round_, batch)
-            else:
-                acc.absorb_round(round_, batch)
-        elif isinstance(batch, ColumnBlock):
-            acc.absorb_columns(batch)
+            acc.absorb_round(round_, batch)
         else:
-            acc.absorb(batch)
+            acc.absorb_columns(batch)
         return int(acc.count - before)
 
     def merged_window(self) -> WindowedAccumulator:

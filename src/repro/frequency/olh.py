@@ -49,14 +49,14 @@ class OLHReports:
     buckets: np.ndarray
 
     def __post_init__(self):
-        if self.seeds.shape != self.buckets.shape:
-            raise ValueError("seeds and buckets must have the same shape")
+        if self.seeds.ndim != 1 or self.seeds.shape != self.buckets.shape:
+            raise ValueError("seeds and buckets must be equal-length vectors")
 
     def __len__(self) -> int:
         return int(self.seeds.shape[0])
 
     # ------------------------------------------------------------------
-    # Columnar form (v2 wire format; see repro.protocol.reports)
+    # Columnar form (see repro.protocol.reports.to_block)
     # ------------------------------------------------------------------
     def to_columns(self) -> dict:
         """Canonical columnar form: the two per-user vectors by name."""
@@ -64,7 +64,9 @@ class OLHReports:
 
     @classmethod
     def from_columns(cls, columns: dict) -> "OLHReports":
-        """Rebuild from :meth:`to_columns` output (bitwise)."""
+        """Zero-copy view over :meth:`to_columns` output (bitwise)."""
+        if not {"seeds", "buckets"} <= set(columns):
+            raise ValueError(f"OLH needs seeds/buckets, got {sorted(columns)}")
         return cls(
             seeds=np.asarray(columns["seeds"]),
             buckets=np.asarray(columns["buckets"]),

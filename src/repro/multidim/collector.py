@@ -214,73 +214,6 @@ class MixedReports:
     numeric: np.ndarray
     categorical: Dict[str, object]
 
-    # ------------------------------------------------------------------
-    # Columnar form (v2 wire format; see repro.protocol.reports)
-    # ------------------------------------------------------------------
-    def to_columns(self) -> Dict[str, np.ndarray]:
-        """Canonical flat columnar form.
-
-        The numeric block is one column; every categorical attribute's
-        sub-reports flatten under ``cat.<name>.<column>`` (OLH reports
-        contribute their seeds/buckets columns, array-shaped oracle
-        reports a single ``array`` column).  Attribute names may not
-        contain ``.`` — the separator is load-bearing.
-        """
-        columns: Dict[str, np.ndarray] = {
-            "numeric": np.asarray(self.numeric)
-        }
-        for name, sub in self.categorical.items():
-            if "." in name:
-                raise ValueError(
-                    f"categorical attribute {name!r} contains '.', "
-                    f"which the columnar flattening reserves"
-                )
-            if hasattr(sub, "to_columns"):
-                for key, arr in sub.to_columns().items():
-                    columns[f"cat.{name}.{key}"] = np.asarray(arr)
-            else:
-                columns[f"cat.{name}.array"] = np.asarray(sub)
-        return columns
-
-    @classmethod
-    def from_columns(
-        cls,
-        columns: Dict[str, np.ndarray],
-        *,
-        n: int,
-        categorical: Dict[str, str],
-    ) -> "MixedReports":
-        """Rebuild from :meth:`to_columns` output (bitwise).
-
-        ``categorical`` maps attribute name to its sub-container kind
-        (``"olh"`` or ``"array"``), the metadata the columnar header
-        carries alongside the flat columns.
-        """
-        from repro.frequency.olh import OLHReports
-
-        rebuilt: Dict[str, object] = {}
-        for name, kind in categorical.items():
-            head = f"cat.{name}."
-            sub = {
-                key[len(head):]: arr
-                for key, arr in columns.items()
-                if key.startswith(head)
-            }
-            if kind == "olh":
-                rebuilt[name] = OLHReports.from_columns(sub)
-            elif kind == "array":
-                rebuilt[name] = np.asarray(sub["array"])
-            else:
-                raise ValueError(
-                    f"unknown categorical sub-kind {kind!r} for "
-                    f"attribute {name!r}"
-                )
-        return cls(
-            n=int(n),
-            numeric=np.asarray(columns["numeric"]),
-            categorical=rebuilt,
-        )
-
 
 class MixedMultidimCollector:
     """Section IV-C: collect tuples with numeric + categorical attributes.

@@ -22,13 +22,13 @@ shards is exact for counts and agrees to ~1e-15 relative for sums.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Any, Dict
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.frequency.olh import OLHReports
 from repro.frequency.oracle import FrequencyOracle
-from repro.protocol.reports import ColumnBlock, SampledNumericReports
+from repro.protocol.reports import ColumnBlock, to_block
 
 # NOTE: repro.multidim is imported lazily (inside MixedAccumulator
 # methods) because repro.multidim.streaming subclasses the accumulators
@@ -44,57 +44,45 @@ class ServerAccumulator(abc.ABC):
 
     The three-method contract:
 
-    * :meth:`absorb` folds a batch of client reports into the state;
+    * :meth:`absorb_columns` folds one batch, as a
+      :class:`~repro.protocol.reports.ColumnBlock`, into the state
+      (:meth:`absorb` takes any report container and converts it);
     * :meth:`merge` folds another accumulator of the same protocol in
       (e.g. from a parallel shard);
     * :meth:`estimate` produces the current unbiased estimate.
 
-    Both ``absorb`` and ``merge`` return ``self`` for chaining.
+    ``absorb``, ``absorb_columns`` and ``merge`` return ``self`` for
+    chaining.
     """
 
-    @abc.abstractmethod
     def absorb(self, reports: Any) -> "ServerAccumulator":
         """Fold in one batch of reports; retains no report.
 
-        Absorbing an *empty* batch (zero reports, e.g. from an empty
-        shard or an encoder fed no values) is a uniform no-op across
-        every accumulator: state and count are unchanged.
-        :meth:`estimate` still raises ``ValueError`` while the total
-        count is zero.
+        Takes any container :func:`~repro.protocol.reports.to_block`
+        maps (or a block) and absorbs its columns.  Absorbing an
+        *empty* batch (zero reports, e.g. from an empty shard or an
+        encoder fed no values) is a uniform no-op across every
+        accumulator: state and count are unchanged.  :meth:`estimate`
+        still raises ``ValueError`` while the total count is zero.
         """
+        return self.absorb_columns(to_block(reports))
 
+    @abc.abstractmethod
     def absorb_columns(self, block: ColumnBlock) -> "ServerAccumulator":
         """Fold in one batch in canonical columnar form.
 
-        The columnar twin of :meth:`absorb`: consumes the named numpy
-        columns of a :class:`~repro.protocol.reports.ColumnBlock`
-        directly — no report container is materialized on the hot path
-        (OLH columns are wrapped in a zero-copy view for the oracle's
-        support counting).  Bitwise-equal to absorbing the equivalent
-        report object: the same reductions run over the same arrays in
-        the same order.
+        Runs the checks of :meth:`validate_columns` first, so a batch
+        it rejects leaves the state untouched.
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support columnar absorption"
-        )
 
-    # ------------------------------------------------------------------
-    # Pre-absorption validation (used by the sharded ingestion tier).
-    # ``validate_reports`` / ``validate_columns`` raise ``ValueError``
-    # for any batch whose matching absorb would raise, and never
-    # mutate state.  The sharded server validates on the request path
-    # *before* charging budget and enqueueing, so an absorb running
-    # later on a shard worker cannot fail on client data — preserving
-    # the absorb-before-charge invariant across the queue boundary.
-    # ------------------------------------------------------------------
-    def validate_reports(self, reports: Any) -> None:
-        """Raise ``ValueError`` iff :meth:`absorb` would; no mutation."""
-
+    @abc.abstractmethod
     def validate_columns(self, block: ColumnBlock) -> None:
-        """Raise ``ValueError`` iff :meth:`absorb_columns` would."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support columnar absorption"
-        )
+        """Raise ``ValueError`` iff :meth:`absorb_columns` would.
+
+        Never mutates state.  The server validates on the request path
+        *before* charging budget, so the absorb that follows the charge
+        cannot fail on client data.
+        """
 
     @abc.abstractmethod
     def merge(self, other: "ServerAccumulator") -> "ServerAccumulator":
@@ -137,6 +125,17 @@ class ServerAccumulator(abc.ABC):
         return f"{type(self).__name__}(count={self.count})"
 
 
+def _expect(block: ColumnBlock, owner: str, *kinds: str) -> None:
+    """Check ``block`` is one of ``kinds`` with numeric columns of
+    ``block.n`` rows."""
+    if block.kind not in kinds:
+        raise ValueError(
+            f"{owner} absorbs {' or '.join(map(repr, kinds))} columns, "
+            f"got {block.kind!r}"
+        )
+    block.check_columns()
+
+
 class MeanAccumulator(ServerAccumulator):
     """Scalar running mean of 1-D numeric reports.
 
@@ -150,38 +149,23 @@ class MeanAccumulator(ServerAccumulator):
         self._sum = 0.0
         self._count = 0
 
-    def absorb(self, reports: Any) -> "MeanAccumulator":
-        arr = np.atleast_1d(np.asarray(reports, dtype=float))
+    def _values(self, block: ColumnBlock) -> np.ndarray:
+        _expect(block, "MeanAccumulator", "array")
+        arr = np.asarray(block.column("array"), dtype=float)
         if arr.ndim != 1:
             raise ValueError(
                 f"mean reports must be a flat array, got shape {arr.shape}"
             )
+        return arr
+
+    def validate_columns(self, block: ColumnBlock) -> None:
+        self._values(block)
+
+    def absorb_columns(self, block: ColumnBlock) -> "MeanAccumulator":
+        arr = self._values(block)
         self._sum += float(arr.sum())
         self._count += arr.shape[0]
         return self
-
-    def validate_reports(self, reports: Any) -> None:
-        arr = np.atleast_1d(np.asarray(reports, dtype=float))
-        if arr.ndim != 1:
-            raise ValueError(
-                f"mean reports must be a flat array, got shape {arr.shape}"
-            )
-
-    def validate_columns(self, block: ColumnBlock) -> None:
-        if block.kind != "array":
-            raise ValueError(
-                f"MeanAccumulator absorbs 'array' columns, got "
-                f"{block.kind!r}"
-            )
-        self.validate_reports(block.column("array"))
-
-    def absorb_columns(self, block: ColumnBlock) -> "MeanAccumulator":
-        if block.kind != "array":
-            raise ValueError(
-                f"MeanAccumulator absorbs 'array' columns, got "
-                f"{block.kind!r}"
-            )
-        return self.absorb(block.column("array"))
 
     def merge(self, other: "ServerAccumulator") -> "MeanAccumulator":
         if not isinstance(other, MeanAccumulator):
@@ -212,9 +196,9 @@ class MeanAccumulator(ServerAccumulator):
 class MultidimMeanAccumulator(ServerAccumulator):
     """Per-attribute running means over d-dimensional numeric reports.
 
-    Absorbs either the compact :class:`SampledNumericReports` wire
-    format or legacy dense (m, d) submission matrices; both paths keep
-    only the d running sums and the user count.
+    Absorbs either compact ``sampled-numeric`` blocks or legacy dense
+    (m, d) submission matrices; both keep only the d running sums and
+    the user count.
     """
 
     def __init__(self, d: int) -> None:
@@ -224,65 +208,35 @@ class MultidimMeanAccumulator(ServerAccumulator):
         self._sums = np.zeros(self.d)
         self._count = 0
 
-    def absorb(self, reports: Any) -> "MultidimMeanAccumulator":
-        if isinstance(reports, SampledNumericReports):
-            if reports.d != self.d:
+    def _checked(
+        self, block: ColumnBlock
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """Validated ``(cols, values)`` of a sampled-numeric block, or
+        ``(matrix, None)`` of a dense one."""
+        _expect(block, "MultidimMeanAccumulator", "sampled-numeric", "array")
+        if block.kind == "array":
+            arr = np.asarray(block.column("array"), dtype=float)
+            # Uniform empty-batch no-op: a size-0 array is accepted in
+            # any shape (an empty list cannot carry a column count).
+            if arr.size == 0:
+                return np.zeros((0, self.d)), None
+            if arr.ndim == 1:  # a single dense row
+                arr = arr.reshape(1, -1)
+            if arr.ndim != 2 or arr.shape[1] != self.d:
                 raise ValueError(
-                    f"reports cover d={reports.d} attributes, "
-                    f"accumulator expects d={self.d}"
+                    f"batch must be (m, {self.d}), got shape {arr.shape}"
                 )
-            self._sums += np.bincount(
-                reports.cols.ravel(),
-                weights=reports.values.ravel(),
-                minlength=self.d,
-            )
-            self._count += reports.n
-            return self
-        arr = np.asarray(reports, dtype=float)
-        # Uniform empty-batch no-op: a size-0 array is accepted in any
-        # shape (an empty list cannot carry a column count).
-        if arr.size == 0:
-            return self
-        if arr.ndim == 1:
-            arr = arr.reshape(1, -1)
-        if arr.ndim != 2 or arr.shape[1] != self.d:
+            return arr, None
+        d, k = block.meta.get("d"), block.meta.get("k")
+        if type(d) is not int or type(k) is not int:
             raise ValueError(
-                f"batch must be (m, {self.d}), got shape {arr.shape}"
+                f"sampled-numeric block needs integer d/k metadata, got "
+                f"d={d!r}, k={k!r}"
             )
-        self._sums += arr.sum(axis=0)
-        self._count += arr.shape[0]
-        return self
-
-    def validate_reports(self, reports: Any) -> None:
-        if isinstance(reports, SampledNumericReports):
-            if reports.d != self.d:
-                raise ValueError(
-                    f"reports cover d={reports.d} attributes, "
-                    f"accumulator expects d={self.d}"
-                )
-            return
-        arr = np.asarray(reports, dtype=float)
-        if arr.size == 0:
-            return
-        if arr.ndim == 1:
-            arr = arr.reshape(1, -1)
-        if arr.ndim != 2 or arr.shape[1] != self.d:
-            raise ValueError(
-                f"batch must be (m, {self.d}), got shape {arr.shape}"
-            )
-
-    def _checked_sampled_columns(self, block: ColumnBlock):
-        """Validated (cols, values) from a sampled-numeric block.
-
-        Applies the same coercions and checks as
-        ``SampledNumericReports.__post_init__`` plus the d-match
-        ``absorb`` performs, without building the container.
-        """
-        d = int(block.meta.get("d", -1))
         if d != self.d:
             raise ValueError(
-                f"columnar reports cover d={d} attributes, accumulator "
-                f"expects d={self.d}"
+                f"reports cover d={d} attributes, accumulator expects "
+                f"d={self.d}"
             )
         cols = np.asarray(block.column("cols"), dtype=np.int64)
         values = np.asarray(block.column("values"), dtype=float)
@@ -291,6 +245,11 @@ class MultidimMeanAccumulator(ServerAccumulator):
                 f"cols and values must be matching (n, k) matrices, "
                 f"got {cols.shape} and {values.shape}"
             )
+        if cols.shape[1] != k:
+            raise ValueError(
+                f"expected k={k} sampled attributes per row, got "
+                f"{cols.shape[1]}"
+            )
         if cols.size and (cols.min() < 0 or cols.max() >= self.d):
             raise ValueError(
                 f"sampled indices must lie in [0, {self.d - 1}]"
@@ -298,33 +257,19 @@ class MultidimMeanAccumulator(ServerAccumulator):
         return cols, values
 
     def validate_columns(self, block: ColumnBlock) -> None:
-        if block.kind == "sampled-numeric":
-            self._checked_sampled_columns(block)
-            return
-        if block.kind == "array":
-            self.validate_reports(block.column("array"))
-            return
-        raise ValueError(
-            f"MultidimMeanAccumulator absorbs 'sampled-numeric' or "
-            f"'array' columns, got {block.kind!r}"
-        )
+        self._checked(block)
 
     def absorb_columns(
         self, block: ColumnBlock
     ) -> "MultidimMeanAccumulator":
-        if block.kind == "array":
-            return self.absorb(block.column("array"))
-        if block.kind != "sampled-numeric":
-            raise ValueError(
-                f"MultidimMeanAccumulator absorbs 'sampled-numeric' or "
-                f"'array' columns, got {block.kind!r}"
+        rows, values = self._checked(block)
+        if values is None:
+            self._sums += rows.sum(axis=0)
+        else:
+            self._sums += np.bincount(
+                rows.ravel(), weights=values.ravel(), minlength=self.d
             )
-        cols, values = self._checked_sampled_columns(block)
-        # Same reduction as the object path's absorb — bitwise equal.
-        self._sums += np.bincount(
-            cols.ravel(), weights=values.ravel(), minlength=self.d
-        )
-        self._count += cols.shape[0]
+        self._count += rows.shape[0]
         return self
 
     def merge(self, other: "ServerAccumulator") -> "MultidimMeanAccumulator":
@@ -371,68 +316,46 @@ class FrequencyAccumulator(ServerAccumulator):
         self._support = np.zeros(oracle.k)
         self._count = 0
 
-    def absorb(self, reports: Any) -> "FrequencyAccumulator":
-        # Compute both deltas before mutating: a report batch the
-        # oracle rejects must leave the state untouched.
-        support = self.oracle.support_counts(reports)
-        n = self.oracle._n_reports(reports)
-        self._support += support
-        self._count += n
-        return self
-
-    def validate_reports(self, reports: Any) -> None:
-        if isinstance(reports, OLHReports):
-            return  # structurally validated by its __post_init__
-        arr = np.asarray(reports)
+    def _reports(self, block: ColumnBlock) -> Any:
+        """The oracle's input for one validated block: a zero-copy
+        ``OLHReports`` view over the seed/bucket columns, or the report
+        vector/matrix."""
+        _expect(block, "FrequencyAccumulator", "array", "olh")
+        if block.kind == "olh":
+            return OLHReports.from_columns(block.columns)
+        arr = block.column("array")
         if arr.ndim == 2:
             if arr.shape[1] != self.oracle.k:
                 raise ValueError(
                     f"report matrix is (n, {arr.shape[1]}), oracle "
                     f"domain is k={self.oracle.k}"
                 )
-            return
-        if arr.ndim == 1:
-            if arr.size == 0:
-                return
-            if not np.issubdtype(arr.dtype, np.integer) and not np.all(
-                arr == np.floor(arr)
-            ):
+        elif arr.ndim == 1:
+            if arr.size and not np.issubdtype(arr.dtype, np.integer) \
+                    and not np.all(arr == np.floor(arr)):
                 raise ValueError(
                     "integer-valued reports required for this oracle"
                 )
-            if arr.min() < 0 or arr.max() >= self.oracle.k:
+            if arr.size and (arr.min() < 0 or arr.max() >= self.oracle.k):
                 raise ValueError(
                     f"report values must lie in [0, {self.oracle.k - 1}]"
                 )
-            return
-        raise ValueError(
-            f"frequency reports must be a vector or matrix, got shape "
-            f"{arr.shape}"
-        )
+        else:
+            raise ValueError(
+                f"frequency reports must be a vector or matrix, got "
+                f"shape {arr.shape}"
+            )
+        return arr
 
     def validate_columns(self, block: ColumnBlock) -> None:
-        if block.kind == "olh":
-            OLHReports.from_columns(block.columns)  # shape check only
-            return
-        if block.kind == "array":
-            self.validate_reports(block.column("array"))
-            return
-        raise ValueError(
-            f"FrequencyAccumulator absorbs 'array' or 'olh' columns, "
-            f"got {block.kind!r}"
-        )
+        self._reports(block)
 
     def absorb_columns(self, block: ColumnBlock) -> "FrequencyAccumulator":
-        if block.kind == "olh":
-            # Zero-copy view over the seed/bucket columns — the oracle
-            # counts support directly on the transported arrays.
-            return self.absorb(OLHReports.from_columns(block.columns))
-        if block.kind != "array":
-            raise ValueError(
-                f"FrequencyAccumulator absorbs 'array' or 'olh' "
-                f"columns, got {block.kind!r}"
-            )
-        return self.absorb(block.column("array"))
+        reports = self._reports(block)
+        if block.n:
+            self._support += self.oracle.support_counts(reports)
+            self._count += block.n
+        return self
 
     def merge(self, other: "ServerAccumulator") -> "FrequencyAccumulator":
         if not isinstance(other, FrequencyAccumulator):
@@ -573,75 +496,43 @@ class MixedAccumulator(ServerAccumulator):
             k=collector.k,
         )
 
-    def absorb(self, reports: Any) -> "MixedAccumulator":
-        # Validate the whole batch before mutating anything: a bad
-        # categorical attribute must not leave the numeric sums
-        # half-updated.
-        self.validate_reports(reports)
-        numeric = np.asarray(reports.numeric, dtype=float)
-        self._numeric_sums += numeric.sum(axis=0)
-        for name, oracle_reports in reports.categorical.items():
-            self._frequency[name].absorb(oracle_reports)
-        self._users += reports.n
-        return self
-
-    def validate_reports(self, reports: Any) -> None:
-        numeric = np.asarray(reports.numeric, dtype=float)
-        if numeric.ndim != 2 or numeric.shape[1] != self._numeric_sums.shape[0]:
+    def _checked(
+        self, block: ColumnBlock
+    ) -> Tuple[np.ndarray, List[Tuple[FrequencyAccumulator, ColumnBlock]]]:
+        """Validated numeric matrix plus ``(sub-accumulator,
+        sub-block)`` pairs in the header's categorical (encoding)
+        order."""
+        _expect(block, "MixedAccumulator", "mixed")
+        numeric = np.asarray(block.column("numeric"), dtype=float)
+        width = self._numeric_sums.shape[0]
+        if numeric.ndim != 2 or numeric.shape[1] != width:
             raise ValueError(
-                f"numeric block must be (m, {self._numeric_sums.shape[0]}), "
-                f"got shape {numeric.shape}"
+                f"numeric block must be (m, {width}), got shape "
+                f"{numeric.shape}"
             )
-        for name, oracle_reports in reports.categorical.items():
-            if name not in self._frequency:
-                raise ValueError(
-                    f"reports carry categorical attribute {name!r} not in "
-                    f"this accumulator's schema "
-                    f"{[a.name for a in self.schema.categorical]}"
-                )
-            self._frequency[name].validate_reports(oracle_reports)
-
-    def _sub_blocks(self, block: ColumnBlock):
-        """(name, sub-accumulator, sub-block) triples of a mixed block,
-        in the header's categorical order (the encoding order — the
-        same order the object path's absorb would use)."""
         categorical = block.meta.get("categorical")
         if not isinstance(categorical, dict):
-            raise ValueError(
-                "mixed columnar block carries no 'categorical' kind map"
-            )
-        out = []
+            raise ValueError("mixed block carries no 'categorical' map")
+        subs = []
         for name, kind in categorical.items():
             if name not in self._frequency:
                 raise ValueError(
-                    f"columns carry categorical attribute {name!r} not "
+                    f"reports carry categorical attribute {name!r} not "
                     f"in this accumulator's schema "
                     f"{[a.name for a in self.schema.categorical]}"
                 )
-            sub = block.sub_block(name, str(kind), block.n)
-            out.append((name, self._frequency[name], sub))
-        return out
+            sub = block.sub_block(name, str(kind))
+            self._frequency[name].validate_columns(sub)
+            subs.append((self._frequency[name], sub))
+        return numeric, subs
 
     def validate_columns(self, block: ColumnBlock) -> None:
-        if block.kind != "mixed":
-            raise ValueError(
-                f"MixedAccumulator absorbs 'mixed' columns, got "
-                f"{block.kind!r}"
-            )
-        numeric = np.asarray(block.column("numeric"), dtype=float)
-        if numeric.ndim != 2 or numeric.shape[1] != self._numeric_sums.shape[0]:
-            raise ValueError(
-                f"numeric block must be (m, {self._numeric_sums.shape[0]}), "
-                f"got shape {numeric.shape}"
-            )
-        for _, acc, sub in self._sub_blocks(block):
-            acc.validate_columns(sub)
+        self._checked(block)
 
     def absorb_columns(self, block: ColumnBlock) -> "MixedAccumulator":
-        self.validate_columns(block)
-        numeric = np.asarray(block.column("numeric"), dtype=float)
+        numeric, subs = self._checked(block)
         self._numeric_sums += numeric.sum(axis=0)
-        for _, acc, sub in self._sub_blocks(block):
+        for acc, sub in subs:
             acc.absorb_columns(sub)
         self._users += block.n
         return self

@@ -15,23 +15,25 @@ zeros.  ``to_dense()`` recovers the legacy layout when needed.
 Columnar form
 -------------
 
-Every report container also has a *canonical columnar form*: a flat
-``dict[str, np.ndarray]`` of named columns (``to_columns()``) plus the
-JSON-scalar metadata needed to rebuild the container
-(``from_columns()``).  A :class:`ColumnBlock` bundles the two together
-with the container kind and user count — it is what the v2 wire format
-frames as one header plus packed array payloads, and what
-``ServerAccumulator.absorb_columns`` consumes directly without
-materializing report objects.  The columnar round-trip is bitwise: the
-arrays are transported untouched.
+Every report batch has one *canonical columnar form*: a
+:class:`ColumnBlock` holding the container kind, the user count, the
+JSON-scalar metadata (``d``/``k``, per-attribute sub-kinds) and the
+named numpy columns.  :func:`to_block` is the one map from report
+containers to blocks; it reuses the containers' own arrays, so nothing
+is copied.  Blocks are the only batch form server-side state consumes
+(``ServerAccumulator.absorb_columns``), and both wire formats carry
+them: v2 frames the columns as packed arrays, v1 writes the same
+columns as JSON.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional
 
 import numpy as np
+
+from repro.frequency.olh import OLHReports
 
 
 @dataclass
@@ -76,23 +78,50 @@ class ColumnBlock:
                 f"{name!r} (has {sorted(self.columns)})"
             ) from None
 
-    def sub_block(self, prefix: str, kind: str, n: int) -> "ColumnBlock":
-        """The nested block under ``cat.<prefix>.`` (mixed flattening)."""
-        head = f"cat.{prefix}."
-        return ColumnBlock(
-            kind=kind,
-            n=n,
-            meta={},
-            columns={
-                name[len(head):]: arr
-                for name, arr in self.columns.items()
-                if name.startswith(head)
-            },
-        )
+    def check_columns(self) -> None:
+        """Raise ``ValueError`` unless the columns are numeric and hold
+        ``n`` users.
 
-    def nbytes(self) -> int:
-        """Total packed payload size across all columns."""
-        return int(sum(arr.nbytes for arr in self.columns.values()))
+        Every column of a flat block has one row per user.  A mixed
+        block's ``numeric`` matrix has ``n`` rows and each
+        ``cat.<name>.*`` column at most ``n`` (the users who sampled
+        that attribute).  This is what ties the rows absorbed to the
+        ``n`` users the ledger charges.
+        """
+        for name, arr in self.columns.items():
+            if arr.dtype.kind not in "biuf":
+                raise ValueError(
+                    f"column {name!r} has non-numeric dtype {arr.dtype.str!r}"
+                )
+            rows = arr.shape[0] if arr.ndim else -1
+            if self.kind == "mixed" and name.startswith("cat."):
+                ok = 0 <= rows <= self.n
+            else:
+                ok = rows == self.n
+            if not ok:
+                raise ValueError(
+                    f"{self.kind!r} block declares n={self.n} users but "
+                    f"column {name!r} has shape {arr.shape}"
+                )
+
+    def sub_block(
+        self, prefix: str, kind: str, n: Optional[int] = None
+    ) -> "ColumnBlock":
+        """The nested block under ``cat.<prefix>.`` (mixed flattening).
+
+        ``n`` defaults to the row count of the nested columns: only the
+        users who sampled the attribute report it.
+        """
+        head = f"cat.{prefix}."
+        columns = {
+            name[len(head):]: arr
+            for name, arr in self.columns.items()
+            if name.startswith(head)
+        }
+        if n is None:
+            first = next(iter(columns.values()), np.zeros(0))
+            n = first.shape[0] if first.ndim else 0
+        return ColumnBlock(kind=kind, n=n, meta={}, columns=columns)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -159,20 +188,10 @@ class SampledNumericReports:
     def to_columns(self) -> Dict[str, np.ndarray]:
         """Canonical columnar form: the two (n, k) matrices by name.
 
-        The container metadata (``d``, ``k``) travels separately (see
-        :class:`ColumnBlock`); :meth:`from_columns` takes both halves.
+        The container metadata (``d``, ``k``) travels separately, in
+        the :class:`ColumnBlock` meta.
         """
         return {"cols": self.cols, "values": self.values}
-
-    @classmethod
-    def from_columns(
-        cls, columns: Dict[str, np.ndarray], *, d: int, k: int
-    ) -> "SampledNumericReports":
-        """Rebuild from :meth:`to_columns` output (bitwise)."""
-        return cls(
-            d=int(d), k=int(k), cols=columns["cols"],
-            values=columns["values"],
-        )
 
     # ------------------------------------------------------------------
     def to_dense(self) -> np.ndarray:
@@ -194,3 +213,64 @@ class SampledNumericReports:
             SampledNumericReports(d=self.d, k=self.k, cols=c, values=v)
             for c, v in parts
         ]
+
+
+def to_block(reports: Any) -> ColumnBlock:
+    """The canonical :class:`ColumnBlock` of any report batch.
+
+    The one map from report containers to columns: plain arrays
+    (numeric perturbed values, GRR integers, unary bit matrices; a
+    scalar becomes one row), :class:`~repro.frequency.olh.OLHReports`,
+    :class:`SampledNumericReports` and
+    :class:`~repro.multidim.collector.MixedReports`.  A block passes
+    through unchanged.  The block's columns are the container's own
+    buffers; nothing is copied.
+    """
+    if isinstance(reports, ColumnBlock):
+        return reports
+    if isinstance(reports, SampledNumericReports):
+        return ColumnBlock(
+            kind="sampled-numeric",
+            n=reports.n,
+            meta={"d": int(reports.d), "k": int(reports.k)},
+            columns=reports.to_columns(),
+        )
+    if isinstance(reports, OLHReports):
+        return ColumnBlock(
+            kind="olh", n=len(reports), columns=reports.to_columns()
+        )
+    if not isinstance(reports, np.ndarray):
+        # Lazy: the collector module pulls in the client-side
+        # mechanisms, which the server tier never needs.
+        from repro.multidim.collector import MixedReports
+
+        if isinstance(reports, MixedReports):
+            # Each attribute's sub-block flattens under
+            # ``cat.<name>.<column>``; the separator is load-bearing.
+            columns = {"numeric": np.asarray(reports.numeric)}
+            kinds = {}
+            for name, sub in reports.categorical.items():
+                if "." in name:
+                    raise ValueError(
+                        f"categorical attribute {name!r} contains '.', "
+                        f"which the columnar flattening reserves"
+                    )
+                sub_block = to_block(sub)
+                kinds[name] = sub_block.kind
+                for key, arr in sub_block.columns.items():
+                    columns[f"cat.{name}.{key}"] = arr
+            return ColumnBlock(
+                kind="mixed",
+                n=int(reports.n),
+                meta={"categorical": kinds},
+                columns=columns,
+            )
+    arr = np.asarray(reports)
+    if arr.dtype == object:
+        raise ValueError(
+            f"cannot encode report container of type "
+            f"{type(reports).__name__}"
+        )
+    if arr.ndim == 0:
+        arr = arr.reshape(1)
+    return ColumnBlock(kind="array", n=arr.shape[0], columns={"array": arr})

@@ -12,9 +12,10 @@ state.
 Two checks, for every class that (transitively) subclasses
 ``ServerAccumulator``:
 
-* the full snapshot surface — ``absorb`` / ``merge`` / ``state_dict``
-  / ``load_state`` — is implemented by the class or an ancestor
-  (the abstract root's ``NotImplementedError`` stubs do not count);
+* the full snapshot surface — ``absorb_columns`` / ``merge`` /
+  ``state_dict`` / ``load_state`` — is implemented by the class or an
+  ancestor (the abstract root's stubs do not count; its concrete
+  ``absorb`` only converts to a block and calls ``absorb_columns``);
 * every underscore-prefixed attribute assigned in ``__init__``
   anywhere along the chain (the repo's convention for mutable
   sufficient statistics — public attributes are immutable
@@ -34,7 +35,7 @@ from repro.qa.core import Module, Project, Rule, Violation
 ROOT_CLASS = "ServerAccumulator"
 
 #: The snapshot surface every concrete accumulator must implement.
-REQUIRED_METHODS = ("absorb", "merge", "state_dict", "load_state")
+REQUIRED_METHODS = ("absorb_columns", "merge", "state_dict", "load_state")
 
 
 @dataclass
@@ -100,8 +101,8 @@ class SnapshotCompletenessRule(Rule):
     id = "QA401"
     name = "snapshot-completeness"
     description = (
-        "every ServerAccumulator subclass implements absorb/merge/"
-        "state_dict/load_state, and every sufficient statistic "
+        "every ServerAccumulator subclass implements absorb_columns/"
+        "merge/state_dict/load_state, and every sufficient statistic "
         "assigned in __init__ appears as a state_dict key — partial "
         "snapshots silently corrupt kill-and-resume"
     )

@@ -1,47 +1,45 @@
 """QA501 — wire-codec exhaustiveness for report containers.
 
 The service's never-silent-mis-aggregation guarantee (PR 3) assumes
-every report container a protocol can emit has a bitwise codec entry
-in ``repro.service.wire`` — on the v1 JSON path (``encode_reports``
-type-tags it, ``decode_reports`` rebuilds it) *and* on the v2 columnar
-path (``reports_to_columns`` flattens it, ``columns_to_reports``
-rebuilds it).  A new container class added to
-``repro.protocol.reports`` without a codec entry only fails at
-runtime, on the first live submission of that protocol kind, with a
-generic ``cannot encode report container`` — long after review; worse,
-a container wired into only one of the two formats splits the fleet:
-v1 clients can submit it, v2 clients cannot.
+every report container a protocol can emit reaches the server as a
+:class:`~repro.protocol.reports.ColumnBlock`.  One converter,
+``repro.protocol.reports.to_block``, maps each container to a block
+*kind*.  The v2 framing carries any block's columns without knowing
+its kind, but the v1 JSON codec (``encode_reports`` /
+``decode_reports`` in ``repro.service.wire``) names every kind.  A
+container added to ``repro.protocol.reports`` without a converter
+branch only fails at runtime, on the first live submission of that
+protocol kind, with a generic ``cannot encode report container`` —
+long after review.  A kind missing from the v1 codec splits the fleet:
+v2 clients can submit it, v1 clients cannot.
 
 This rule checks statically that every class defined at the top level
-of ``repro.protocol.reports`` is referenced by name in *all four*
-codec functions of ``repro.service.wire``.  ``ColumnBlock`` is
-exempt — it is the columnar wire form itself (the carrier the v2
-functions produce and consume), not a report container.  The check
-runs only when both modules are in the linted set (the full ``src``
-run CI gates on).
+of ``repro.protocol.reports`` has an ``isinstance`` branch in
+``to_block`` that builds a block with a literal ``kind=`` tag, and that
+the tag appears in both ``encode_reports`` and ``decode_reports``.
+``ColumnBlock`` is exempt — it is the carrier itself, not a report
+container.  The check runs only when both modules are in the linted
+set (the full ``src`` run CI gates on).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional, Set
+from typing import Dict, Iterator, Optional, Set
 
 from repro.qa.core import Module, Project, Rule, Violation
 
-#: Module defining the report containers.
+#: Module defining the report containers and their block converter.
 REPORTS_MODULE = "repro.protocol.reports"
 
-#: Module that must provide a codec entry per container.
+#: The one container -> ColumnBlock converter, in REPORTS_MODULE.
+CONVERTER = "to_block"
+
+#: Module holding the v1 JSON codec.
 CODEC_MODULE = "repro.service.wire"
 
-#: The codec functions every container must appear in: the v1 JSON
-#: pair and the v2 columnar pair.
-CODEC_FUNCTIONS = (
-    "encode_reports",
-    "decode_reports",
-    "reports_to_columns",
-    "columns_to_reports",
-)
+#: The v1 codec functions every block kind must appear in.
+CODEC_FUNCTIONS = ("encode_reports", "decode_reports")
 
 #: Wire-form carriers defined alongside the containers: they *are* the
 #: encoding, so demanding a codec entry for them is circular.
@@ -64,14 +62,36 @@ def _function(module: Module, name: str) -> Optional[ast.AST]:
     return None
 
 
-def _referenced_names(func: ast.AST) -> Set[str]:
-    names: Set[str] = set()
+def _string_constants(func: ast.AST) -> Set[str]:
+    return {
+        node.value
+        for node in ast.walk(func)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+
+
+def _converter_kinds(func: ast.AST) -> Dict[str, Optional[str]]:
+    """Class name -> the literal ``kind=`` built by the converter's
+    ``isinstance`` branch for that class (``None`` without one)."""
+    kinds: Dict[str, Optional[str]] = {}
     for node in ast.walk(func):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-    return names
+        test = getattr(node, "test", None)
+        if (
+            isinstance(node, ast.If)
+            and isinstance(test, ast.Call)
+            and getattr(test.func, "id", None) == "isinstance"
+            and len(test.args) == 2
+            and isinstance(test.args[1], ast.Name)
+        ):
+            tags = [
+                str(kw.value.value)
+                for stmt in node.body
+                for kw in ast.walk(stmt)
+                if isinstance(kw, ast.keyword) and kw.arg == "kind"
+                and isinstance(kw.value, ast.Constant)
+            ]
+            kinds.setdefault(test.args[1].id, tags[0] if tags else None)
+    return kinds
 
 
 class WireCodecExhaustivenessRule(Rule):
@@ -79,10 +99,10 @@ class WireCodecExhaustivenessRule(Rule):
     name = "wire-codec-exhaustiveness"
     description = (
         "every report container class in protocol/reports.py needs a "
-        "codec entry in service/wire.py on BOTH wire formats "
-        "(encode_reports/decode_reports and reports_to_columns/"
-        "columns_to_reports) — an unregistered container only fails "
-        "on the first live submission, and a half-registered one "
+        "to_block() branch building a literal block kind, and that kind "
+        "needs an entry in service/wire.py's encode_reports and "
+        "decode_reports — an unconverted container only fails on the "
+        "first live submission, and a kind missing from the v1 codec "
         "splits the v1/v2 fleet"
     )
 
@@ -91,32 +111,42 @@ class WireCodecExhaustivenessRule(Rule):
         codec = project.find(CODEC_MODULE)
         if reports is None or codec is None:
             return  # partial runs (single files) cannot do this check
-        functions = {}
-        for name in CODEC_FUNCTIONS:
-            func = _function(codec, name)
-            if func is None:
-                yield Violation(
-                    rule=self.id,
-                    path=str(codec.path),
-                    line=1,
-                    col=1,
-                    message=(
-                        f"codec module {codec.name} does not define "
-                        f"{name}(); the wire codec surface is gone"
-                    ),
-                )
-                return
-            functions[name] = _referenced_names(func)
+        converter = _function(reports, CONVERTER)
+        functions = {name: _function(codec, name) for name in CODEC_FUNCTIONS}
+        if converter is None or None in functions.values():
+            yield Violation(
+                rule=self.id,
+                path=str(codec.path),
+                line=1,
+                col=1,
+                message=(
+                    f"{reports.name}.{CONVERTER}() or one of "
+                    f"{codec.name}.{'/'.join(CODEC_FUNCTIONS)}() is "
+                    f"missing; the report codec surface is gone"
+                ),
+            )
+            return
+        kinds = _converter_kinds(converter)
         for cls in _top_level_classes(reports):
             if cls.name in CARRIER_CLASSES:
                 continue
-            for name, referenced in functions.items():
-                if cls.name not in referenced:
+            kind = kinds.get(cls.name)
+            if kind is None:
+                yield self.violation(
+                    reports,
+                    cls,
+                    f"report container {cls.name} has no isinstance "
+                    f"branch building a literal kind in "
+                    f"{reports.name}.{CONVERTER}(); a batch of these "
+                    f"reports cannot become a ColumnBlock",
+                )
+                continue
+            for name, func in functions.items():
+                if kind not in _string_constants(func):
                     yield self.violation(
                         reports,
                         cls,
-                        f"report container {cls.name} has no codec "
-                        f"entry in {codec.name}.{name}(); a batch of "
-                        f"these reports cannot cross the service "
-                        f"boundary",
+                        f"report container {cls.name} converts to kind "
+                        f"{kind!r}, which {codec.name}.{name}() does not "
+                        f"handle; v1 clients cannot send these reports",
                     )

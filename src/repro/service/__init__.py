@@ -46,7 +46,6 @@ from repro.service.wire import (
     WIRE_VERSION_COLUMNAR,
     SpecMismatchError,
     WireFormatError,
-    columns_to_reports,
     decode_estimate,
     decode_reports,
     encode_estimate,
@@ -77,7 +76,6 @@ __all__ = [
     "SpecMismatchError",
     "UnknownCampaignError",
     "WireFormatError",
-    "columns_to_reports",
     "decode_estimate",
     "decode_reports",
     "encode_estimate",

@@ -95,6 +95,7 @@ from repro.obs.metrics import (
     null_registry,
 )
 from repro.protocol.facade import Protocol
+from repro.protocol.reports import ColumnBlock
 from repro.protocol.spec import ProtocolSpec
 from repro.service import wire
 from repro.service.store import SnapshotStore
@@ -1061,18 +1062,16 @@ class IngestionServer:
                     "detail": "'fresh' must be a list of booleans, one "
                     "per user",
                 }
-        block = payload.get("columns")
-        if block is not None:
+        batch = payload.get("columns")
+        if isinstance(batch, ColumnBlock):
             wire_version = wire.WIRE_VERSION_COLUMNAR
-            batch: Any = block
-            n = int(block.n)
         else:
             wire_version = wire.WIRE_VERSION
             try:
                 batch = wire.decode_reports(payload["reports"])
-            except (KeyError, wire.WireFormatError, ValueError) as exc:
+            except (KeyError, ValueError) as exc:
                 return 400, {"error": "bad_reports", "detail": str(exc)}
-            n = wire.report_count(batch)
+        n = batch.n
         if n != len(users):
             return 400, {
                 "error": "bad_request",

@@ -6,13 +6,14 @@ through this module.  Three layers:
 * **Arrays** — :func:`encode_array` / :func:`decode_array` carry any
   numpy array as ``{dtype, shape, base64(raw bytes)}``; the round-trip
   is bitwise because the raw buffer is transported untouched.
-* **Payloads** — :func:`encode_reports` / :func:`decode_reports`
-  type-tag every report container a protocol can emit (perturbed-value
-  arrays, unary bit matrices, :class:`~repro.frequency.olh.OLHReports`,
-  :class:`~repro.protocol.reports.SampledNumericReports`,
-  :class:`~repro.multidim.collector.MixedReports`);
-  :func:`encode_accumulator_state` / :func:`decode_accumulator_state`
-  do the same for ``ServerAccumulator.state_dict`` snapshots, and
+* **Payloads** — a report batch crosses the wire as its
+  :class:`~repro.protocol.reports.ColumnBlock`:
+  :func:`encode_reports` writes the block as type-tagged v1 JSON and
+  :func:`decode_reports` reads it back into a block;
+  :func:`pack_columns` / :func:`unpack_columns` frame the same block as
+  packed v2 binary.  :func:`encode_accumulator_state` /
+  :func:`decode_accumulator_state` carry
+  ``ServerAccumulator.state_dict`` snapshots, and
   :func:`encode_estimate` / :func:`decode_estimate` for every estimate
   shape the accumulators produce.
 * **Envelopes** — :func:`pack` wraps a payload with the wire version
@@ -28,14 +29,13 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import math
 import struct
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.frequency.olh import OLHReports
-from repro.multidim.collector import MixedReports
-from repro.protocol.reports import ColumnBlock, SampledNumericReports
+from repro.protocol.reports import ColumnBlock, to_block
 from repro.protocol.spec import ProtocolSpec
 
 #: Version of the envelope + payload encoding itself (independent of
@@ -86,188 +86,134 @@ def encode_array(arr: np.ndarray) -> Dict[str, Any]:
     }
 
 
-def decode_array(obj: Dict[str, Any]) -> np.ndarray:
-    """Inverse of :func:`encode_array`."""
-    try:
-        dtype = np.dtype(obj["dtype"])
-        shape = tuple(obj["shape"])
-        raw = base64.b64decode(obj["data"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise WireFormatError(f"malformed array payload: {exc}") from exc
-    arr = np.frombuffer(raw, dtype=dtype)
-    if arr.size != int(np.prod(shape, dtype=np.int64)):
+def _shape(value: Any) -> Tuple[int, ...]:
+    """A wire array shape: a list of non-negative integers."""
+    if not isinstance(value, list) or not all(
+        type(dim) is int and dim >= 0 for dim in value
+    ):
         raise WireFormatError(
-            f"array payload carries {arr.size} elements, shape {shape} "
-            f"needs {int(np.prod(shape, dtype=np.int64))}"
+            f"array shape must be a list of non-negative integers, got "
+            f"{value!r}"
+        )
+    return tuple(value)
+
+
+def _from_buffer(raw: bytes, dtype: np.dtype, shape: Tuple[int, ...],
+                 what: str) -> np.ndarray:
+    """Writable array of ``shape`` over ``raw``; ``WireFormatError`` if
+    the bytes do not hold exactly that many ``dtype`` elements."""
+    if dtype.hasobject:
+        raise WireFormatError(f"{what} has object dtype {dtype.str!r}")
+    try:
+        arr = np.frombuffer(raw, dtype=dtype)
+    except ValueError as exc:
+        raise WireFormatError(f"{what}: {exc}") from exc
+    needed = math.prod(shape)  # exact: no int64 wrap-around
+    if arr.size != needed:
+        raise WireFormatError(
+            f"{what} carries {arr.size} elements, shape {list(shape)} "
+            f"needs {needed}"
         )
     # frombuffer views are read-only; copy so callers can absorb freely.
     return arr.reshape(shape).copy()
 
 
-# ----------------------------------------------------------------------
-# Report containers
-# ----------------------------------------------------------------------
-def report_count(reports) -> int:
-    """Number of reporting users in any report container."""
-    if isinstance(reports, MixedReports):
-        return int(reports.n)
-    return int(len(reports))
+def decode_array(obj: Dict[str, Any]) -> np.ndarray:
+    """Inverse of :func:`encode_array`."""
+    try:
+        dtype = np.dtype(obj["dtype"])
+        shape = _shape(obj["shape"])
+        raw = base64.b64decode(obj["data"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise WireFormatError(f"malformed array payload: {exc}") from exc
+    return _from_buffer(raw, dtype, shape, "array payload")
 
 
+# ----------------------------------------------------------------------
+# Report batches (wire v1 JSON)
+# ----------------------------------------------------------------------
 def encode_reports(reports) -> Dict[str, Any]:
-    """Type-tagged encoding of any report container.
+    """Type-tagged v1 JSON encoding of any report batch.
 
-    Covers every container the protocol encoders emit: plain numpy
-    arrays (numeric perturbed values, GRR integers, unary bit
-    matrices), ``OLHReports``, ``SampledNumericReports`` and
-    ``MixedReports`` (whose per-attribute categorical reports recurse
-    through this function).
+    Writes the columns of the batch's
+    :func:`~repro.protocol.reports.to_block` form, so it covers every
+    container the protocol encoders emit: plain numpy arrays (numeric
+    perturbed values, GRR integers, unary bit matrices), ``OLHReports``,
+    ``SampledNumericReports`` and ``MixedReports`` (whose
+    per-attribute categorical sub-blocks recurse through this
+    function).  The JSON is byte-for-byte what v1 clients have always
+    sent.
     """
-    if isinstance(reports, SampledNumericReports):
-        return {
-            "type": "sampled-numeric",
-            "d": int(reports.d),
-            "k": int(reports.k),
-            "cols": encode_array(reports.cols),
-            "values": encode_array(reports.values),
-        }
-    if isinstance(reports, OLHReports):
-        return {
-            "type": "olh",
-            "seeds": encode_array(reports.seeds),
-            "buckets": encode_array(reports.buckets),
-        }
-    if isinstance(reports, MixedReports):
-        return {
-            "type": "mixed",
-            "n": int(reports.n),
-            "numeric": encode_array(np.asarray(reports.numeric)),
-            "categorical": {
-                name: encode_reports(sub)
-                for name, sub in reports.categorical.items()
-            },
-        }
-    arr = np.asarray(reports)
-    if arr.dtype == object:
-        raise WireFormatError(
-            f"cannot encode report container of type "
-            f"{type(reports).__name__}"
-        )
-    return {"type": "array", "array": encode_array(arr)}
-
-
-def decode_reports(obj: Dict[str, Any]):
-    """Inverse of :func:`encode_reports`."""
-    kind = obj.get("type")
-    if kind == "array":
-        return decode_array(obj["array"])
-    if kind == "sampled-numeric":
-        return SampledNumericReports(
-            d=int(obj["d"]),
-            k=int(obj["k"]),
-            cols=decode_array(obj["cols"]),
-            values=decode_array(obj["values"]),
-        )
-    if kind == "olh":
-        return OLHReports(
-            seeds=decode_array(obj["seeds"]),
-            buckets=decode_array(obj["buckets"]),
-        )
+    block = to_block(reports)
+    kind = block.kind
     if kind == "mixed":
-        return MixedReports(
-            n=int(obj["n"]),
-            numeric=decode_array(obj["numeric"]),
-            categorical={
-                name: decode_reports(sub)
-                for name, sub in obj["categorical"].items()
+        return {
+            "type": kind,
+            "n": block.n,
+            "numeric": encode_array(block.column("numeric")),
+            "categorical": {
+                name: encode_reports(block.sub_block(name, sub_kind))
+                for name, sub_kind in block.meta["categorical"].items()
             },
-        )
+        }
+    fields = {
+        "array": ("array",),
+        "olh": ("seeds", "buckets"),
+        "sampled-numeric": ("cols", "values"),
+    }.get(kind)
+    if fields is None:
+        raise WireFormatError(f"unknown report block kind {kind!r}")
+    out: Dict[str, Any] = {"type": kind}
+    if kind == "sampled-numeric":
+        out["d"], out["k"] = int(block.meta["d"]), int(block.meta["k"])
+    for name in fields:
+        out[name] = encode_array(block.column(name))
+    return out
+
+
+def decode_reports(obj: Dict[str, Any]) -> ColumnBlock:
+    """Inverse of :func:`encode_reports`: the v1 JSON straight into a
+    :class:`~repro.protocol.reports.ColumnBlock` over the decoded
+    arrays.  Row counts and metadata are checked by the accumulator
+    that absorbs the block."""
+    kind = None
+    try:
+        kind = obj.get("type")
+        if kind == "mixed":
+            columns = {"numeric": decode_array(obj["numeric"])}
+            categorical = {}
+            for name, sub in obj["categorical"].items():
+                sub_block = decode_reports(sub)
+                categorical[name] = sub_block.kind
+                for key, arr in sub_block.columns.items():
+                    columns[f"cat.{name}.{key}"] = arr
+            meta = {"categorical": categorical}
+            return ColumnBlock(kind, obj["n"], meta, columns)
+        fields = {
+            "array": ("array",),
+            "olh": ("seeds", "buckets"),
+            "sampled-numeric": ("cols", "values"),
+        }.get(kind)
+        if fields is not None:
+            columns = {name: decode_array(obj[name]) for name in fields}
+            meta = {"d": obj["d"], "k": obj["k"]} \
+                if kind == "sampled-numeric" else {}
+            first = columns[fields[0]]
+            n = first.shape[0] if first.ndim else 0
+            return ColumnBlock(kind, n, meta, columns)
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise WireFormatError(
+            f"malformed {kind!r} report payload: {exc!r}"
+        ) from exc
     raise WireFormatError(f"unknown report payload type {kind!r}")
 
 
 # ----------------------------------------------------------------------
 # Columnar report form (wire v2)
 # ----------------------------------------------------------------------
-def reports_to_columns(reports) -> ColumnBlock:
-    """Canonical columnar form of any report container.
-
-    The v2 twin of :func:`encode_reports`: same container coverage
-    (plain arrays, ``OLHReports``, ``SampledNumericReports``,
-    ``MixedReports``), but the output is a
-    :class:`~repro.protocol.reports.ColumnBlock` whose arrays are the
-    container's own buffers — nothing is copied or re-encoded until
-    :func:`pack_columns` frames them.
-    """
-    if isinstance(reports, SampledNumericReports):
-        return ColumnBlock(
-            kind="sampled-numeric",
-            n=reports.n,
-            meta={"d": int(reports.d), "k": int(reports.k)},
-            columns=reports.to_columns(),
-        )
-    if isinstance(reports, OLHReports):
-        return ColumnBlock(
-            kind="olh", n=len(reports), columns=reports.to_columns()
-        )
-    if isinstance(reports, MixedReports):
-        return ColumnBlock(
-            kind="mixed",
-            n=int(reports.n),
-            meta={
-                "categorical": {
-                    name: "olh" if isinstance(sub, OLHReports) else "array"
-                    for name, sub in reports.categorical.items()
-                }
-            },
-            columns=reports.to_columns(),
-        )
-    arr = np.asarray(reports)
-    if arr.dtype == object:
-        raise WireFormatError(
-            f"cannot encode report container of type "
-            f"{type(reports).__name__}"
-        )
-    if arr.ndim == 0:
-        arr = arr.reshape(1)
-    return ColumnBlock(kind="array", n=int(arr.shape[0]),
-                       columns={"array": arr})
-
-
-def columns_to_reports(block: ColumnBlock):
-    """Inverse of :func:`reports_to_columns` (bitwise).
-
-    Only needed off the hot path — the server absorbs
-    :class:`ColumnBlock` batches directly via
-    ``ServerAccumulator.absorb_columns`` — but kept total over the
-    container vocabulary so v2 frames can always be lifted back to the
-    objects v1 tooling expects.
-    """
-    if block.kind == "array":
-        return block.column("array")
-    if block.kind == "sampled-numeric":
-        try:
-            d, k = int(block.meta["d"]), int(block.meta["k"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise WireFormatError(
-                f"sampled-numeric block needs integer d/k metadata: {exc}"
-            ) from exc
-        return SampledNumericReports.from_columns(block.columns, d=d, k=k)
-    if block.kind == "olh":
-        return OLHReports.from_columns(
-            {"seeds": block.column("seeds"), "buckets": block.column("buckets")}
-        )
-    if block.kind == "mixed":
-        categorical = block.meta.get("categorical")
-        if not isinstance(categorical, dict):
-            raise WireFormatError(
-                "mixed block carries no 'categorical' kind map"
-            )
-        return MixedReports.from_columns(
-            block.columns,
-            n=block.n,
-            categorical={str(k): str(v) for k, v in categorical.items()},
-        )
-    raise WireFormatError(f"unknown columnar block kind {block.kind!r}")
+#: The SDK's name for :func:`repro.protocol.reports.to_block`: the
+#: block :func:`pack_columns` frames, over the container's own arrays.
+reports_to_columns = to_block
 
 
 def _little_endian(arr: np.ndarray) -> np.ndarray:
@@ -378,7 +324,7 @@ def unpack_columns(data: bytes) -> Dict[str, Any]:
         try:
             name = str(entry["name"])
             dtype = np.dtype(entry["dtype"])
-            shape = tuple(int(s) for s in entry["shape"])
+            shape = _shape(entry["shape"])
             start = int(entry["offset"])
             nbytes = int(entry["nbytes"])
         except (KeyError, TypeError, ValueError) as exc:
@@ -390,14 +336,9 @@ def unpack_columns(data: bytes) -> Dict[str, Any]:
                 f"column {name!r} spans [{start}, {start + nbytes}) but "
                 f"payload holds {len(body)} bytes"
             )
-        arr = np.frombuffer(body[start:start + nbytes], dtype=dtype)
-        if arr.size != int(np.prod(shape, dtype=np.int64)):
-            raise WireFormatError(
-                f"column {name!r} carries {arr.size} elements, shape "
-                f"{shape} needs {int(np.prod(shape, dtype=np.int64))}"
-            )
-        # frombuffer views are read-only; copy so absorb can run freely.
-        columns[name] = arr.reshape(shape).copy()
+        columns[name] = _from_buffer(
+            body[start:start + nbytes], dtype, shape, f"column {name!r}"
+        )
     meta = header.get("meta")
     if meta is None:
         meta = {}

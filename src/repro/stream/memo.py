@@ -40,12 +40,12 @@ import numpy as np
 from repro.frequency.olh import OLHReports
 from repro.protocol.accumulators import ServerAccumulator
 from repro.protocol.encoders import ClientEncoder, MixedEncoder
-from repro.protocol.reports import SampledNumericReports
+from repro.protocol.reports import SampledNumericReports, to_block
 from repro.utils.rng import RngLike
 
-#: Cached row forms: ``("array", row)``, ``("olh", seed, bucket)``,
-#: ``("sampled", d, k, cols_row, values_row)``.
-_Row = Tuple[Any, ...]
+#: Cached row form: ``(kind, meta, {column: row})``, one user's slice
+#: of the fresh batch's column block.
+_Row = Tuple[str, Dict[str, Any], Dict[str, np.ndarray]]
 
 
 def _value_key(row: np.ndarray) -> bytes:
@@ -62,45 +62,30 @@ def _value_key(row: np.ndarray) -> bytes:
 
 def _split_rows(reports: Any) -> List[_Row]:
     """Decompose a report container into one cacheable row per user."""
-    if isinstance(reports, OLHReports):
-        return [
-            ("olh", reports.seeds[i], reports.buckets[i])
-            for i in range(len(reports))
-        ]
-    if isinstance(reports, SampledNumericReports):
-        return [
-            ("sampled", reports.d, reports.k,
-             reports.cols[i], reports.values[i])
-            for i in range(reports.n)
-        ]
-    arr = np.asarray(reports)
-    if arr.ndim in (1, 2):
-        return [("array", arr[i]) for i in range(arr.shape[0])]
-    raise TypeError(
-        f"memoization does not support report container "
-        f"{type(reports).__name__}"
-    )
+    block = to_block(reports)
+    if block.kind == "mixed":
+        raise TypeError("memoization does not support mixed-tuple reports")
+    return [
+        (block.kind, block.meta,
+         {name: col[i] for name, col in block.columns.items()})
+        for i in range(block.n)
+    ]
 
 
 def _join_rows(rows: Sequence[_Row]) -> Any:
     """Reassemble rows (cached + fresh, batch order) into a container."""
-    kind = rows[0][0]
+    kind, meta, first = rows[0]
     if any(row[0] != kind for row in rows):
         raise TypeError("cannot mix report container kinds in one batch")
+    columns = {
+        name: np.stack([np.asarray(row[2][name]) for row in rows])
+        for name in first
+    }
     if kind == "olh":
-        return OLHReports(
-            seeds=np.stack([np.asarray(row[1]) for row in rows]),
-            buckets=np.stack([np.asarray(row[2]) for row in rows]),
-        )
-    if kind == "sampled":
-        d, k = rows[0][1], rows[0][2]
-        return SampledNumericReports(
-            d=d,
-            k=k,
-            cols=np.stack([np.asarray(row[3]) for row in rows]),
-            values=np.stack([np.asarray(row[4]) for row in rows]),
-        )
-    return np.stack([np.asarray(row[1]) for row in rows])
+        return OLHReports(**columns)
+    if kind == "sampled-numeric":
+        return SampledNumericReports(d=meta["d"], k=meta["k"], **columns)
+    return columns["array"]
 
 
 class MemoizedEncoder(ClientEncoder):

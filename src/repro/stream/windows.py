@@ -259,9 +259,10 @@ class WindowedAccumulator(ServerAccumulator):
     # Absorption
     # ------------------------------------------------------------------
     def absorb_round(
-        self, round_: Any, reports: Any
+        self, round_: Any, block: Any
     ) -> "WindowedAccumulator":
-        """Fold one batch into the pane for ``round_``.
+        """Fold one batch (a block, or any report container) into the
+        pane for ``round_``.
 
         A round older than the ring floor is a *late arrival*: it folds
         into the expired tail (so the all-time estimate stays exact)
@@ -270,33 +271,15 @@ class WindowedAccumulator(ServerAccumulator):
         """
         r = self._check_round(round_)
         if self._is_expired(r):
-            self._expired_tail().absorb(reports)
+            self._expired_tail().absorb(block)
             return self
-        self._pane(r).absorb(reports)
+        self._pane(r).absorb(block)
         self._advance(r)
         return self
-
-    def absorb_columns_round(
-        self, round_: Any, block: ColumnBlock
-    ) -> "WindowedAccumulator":
-        """Columnar twin of :meth:`absorb_round`."""
-        r = self._check_round(round_)
-        if self._is_expired(r):
-            self._expired_tail().absorb_columns(block)
-            return self
-        self._pane(r).absorb_columns(block)
-        self._advance(r)
-        return self
-
-    def absorb(self, reports: Any) -> "WindowedAccumulator":
-        """Round-less absorb (v1 clients): lands in the current round."""
-        return self.absorb_round(self.current_round, reports)
 
     def absorb_columns(self, block: ColumnBlock) -> "WindowedAccumulator":
-        return self.absorb_columns_round(self.current_round, block)
-
-    def validate_reports(self, reports: Any) -> None:
-        self.template.validate_reports(reports)
+        """Round-less absorb (v1 clients): lands in the current round."""
+        return self.absorb_round(self.current_round, block)
 
     def validate_columns(self, block: ColumnBlock) -> None:
         self.template.validate_columns(block)

@@ -10,9 +10,9 @@ class LeakyAccumulator(ServerAccumulator):
         self._total = 0.0
         self._hidden = 0
 
-    def absorb(self, reports):
-        self._total += sum(reports)
-        self._hidden += len(reports)
+    def absorb_columns(self, block):
+        self._total += block.column("array").sum()
+        self._hidden += block.n
         return self
 
     def merge(self, other):

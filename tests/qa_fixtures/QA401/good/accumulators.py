@@ -11,9 +11,9 @@ class CounterAccumulator(ServerAccumulator):
         self._count = 0
         self.domain = 16  # public config: exempt from the key check
 
-    def absorb(self, reports):
-        self._total += sum(reports)
-        self._count += len(reports)
+    def absorb_columns(self, block):
+        self._total += block.column("array").sum()
+        self._count += block.n
         return self
 
     def merge(self, other):

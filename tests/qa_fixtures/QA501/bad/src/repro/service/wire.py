@@ -1,42 +1,19 @@
-"""Codec missing OrphanReports everywhere and HalfWiredReports on v2."""
+"""v1 codec that encodes the half-wired kind but cannot decode it."""
 
-from repro.protocol.reports import HalfWiredReports, SampledNumericReports
-
-
-class ColumnBlock:
-    def __init__(self, kind="", n=0, columns=None):
-        self.kind = kind
-        self.n = n
-        self.columns = columns or {}
+from repro.protocol.reports import ColumnBlock, to_block
 
 
 def encode_reports(reports):
-    if isinstance(reports, SampledNumericReports):
-        return {"type": "sampled-numeric", "cols": list(reports.cols)}
-    if isinstance(reports, HalfWiredReports):
-        return {"type": "half-wired", "items": list(reports.items)}
-    raise TypeError(f"cannot encode report container {type(reports)}")
+    block = to_block(reports)
+    if block.kind == "sampled-numeric":
+        return {"type": "sampled-numeric", "cols": list(block.columns["cols"])}
+    if block.kind == "half-wired":
+        return {"type": "half-wired", "items": list(block.columns["items"])}
+    raise ValueError(f"unknown report block kind {block.kind}")
 
 
 def decode_reports(payload):
     if payload["type"] == "sampled-numeric":
-        return SampledNumericReports(cols=payload["cols"])
-    if payload["type"] == "half-wired":
-        return HalfWiredReports(items=payload["items"])
-    raise TypeError(f"cannot decode report payload {payload['type']}")
-
-
-def reports_to_columns(reports):
-    if isinstance(reports, SampledNumericReports):
-        return ColumnBlock(
-            kind="sampled-numeric",
-            n=len(reports.cols),
-            columns={"cols": reports.cols},
-        )
-    raise TypeError(f"cannot encode report container {type(reports)}")
-
-
-def columns_to_reports(block):
-    if block.kind == "sampled-numeric":
-        return SampledNumericReports(cols=block.columns["cols"])
-    raise TypeError(f"cannot decode columnar block {block.kind}")
+        cols = payload["cols"]
+        return ColumnBlock("sampled-numeric", len(cols), {"cols": cols})
+    raise ValueError(f"unknown report payload type {payload['type']}")

@@ -1,4 +1,4 @@
-"""One report container, fully registered in both wire formats."""
+"""One report container, converted to a block the v1 codec knows."""
 
 
 class ColumnBlock:  # carrier: the columnar wire form itself, exempt
@@ -12,3 +12,15 @@ class SampledNumericReports:
     def __init__(self, cols=(), values=()):
         self.cols = cols
         self.values = values
+
+
+def to_block(reports):
+    if isinstance(reports, ColumnBlock):
+        return reports
+    if isinstance(reports, SampledNumericReports):
+        return ColumnBlock(
+            kind="sampled-numeric",
+            n=len(reports.cols),
+            columns={"cols": reports.cols, "values": reports.values},
+        )
+    raise ValueError(f"cannot encode report container {type(reports)}")

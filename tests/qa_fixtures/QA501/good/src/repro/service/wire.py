@@ -1,31 +1,17 @@
-"""Codec with v1 AND v2 entries for every container in reports.py."""
+"""v1 codec with an entry for every block kind to_block builds."""
 
-from repro.protocol.reports import ColumnBlock, SampledNumericReports
+from repro.protocol.reports import ColumnBlock, to_block
 
 
 def encode_reports(reports):
-    if isinstance(reports, SampledNumericReports):
-        return {"type": "sampled-numeric", "cols": list(reports.cols)}
-    raise TypeError(f"cannot encode report container {type(reports)}")
+    block = to_block(reports)
+    if block.kind == "sampled-numeric":
+        return {"type": "sampled-numeric", "cols": list(block.columns["cols"])}
+    raise ValueError(f"unknown report block kind {block.kind}")
 
 
 def decode_reports(payload):
     if payload["type"] == "sampled-numeric":
-        return SampledNumericReports(cols=payload["cols"])
-    raise TypeError(f"cannot decode report payload {payload['type']}")
-
-
-def reports_to_columns(reports):
-    if isinstance(reports, SampledNumericReports):
-        return ColumnBlock(
-            kind="sampled-numeric",
-            n=len(reports.cols),
-            columns={"cols": reports.cols},
-        )
-    raise TypeError(f"cannot encode report container {type(reports)}")
-
-
-def columns_to_reports(block):
-    if block.kind == "sampled-numeric":
-        return SampledNumericReports(cols=block.columns["cols"])
-    raise TypeError(f"cannot decode columnar block {block.kind}")
+        cols = payload["cols"]
+        return ColumnBlock("sampled-numeric", len(cols), {"cols": cols})
+    raise ValueError(f"unknown report payload type {payload['type']}")

@@ -1,11 +1,14 @@
 """Columnar report form: round-trips and absorb_columns bitwise parity.
 
-Every report container must (a) survive ``to_columns``/``from_columns``
-bitwise, (b) produce the bitwise-identical accumulator state whether
-absorbed as an object or as its :class:`ColumnBlock` twin, and (c)
-survive the v2 binary framing (:func:`wire.pack_columns` /
-:func:`wire.unpack_columns`) untouched.
+Every report container must (a) produce the bitwise-identical
+accumulator state whether absorbed as an object or as its
+:class:`ColumnBlock`, and (b) survive both wire formats untouched: the
+v1 JSON codec (:func:`wire.encode_reports` / :func:`wire.decode_reports`)
+and the v2 binary framing (:func:`wire.pack_columns` /
+:func:`wire.unpack_columns`).
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ from repro.data.census import make_br_like
 from repro.frequency.olh import OLHReports
 from repro.multidim.collector import MixedReports
 from repro.protocol import Protocol, SampledNumericReports
-from repro.protocol.reports import ColumnBlock
+from repro.protocol.reports import ColumnBlock, to_block
 from repro.service import wire
 
 N = 300
@@ -80,13 +83,17 @@ def _assert_estimates_bitwise_equal(a, b):
 @pytest.mark.parametrize("name", sorted(_protocol_cases()))
 class TestColumnarParity:
     def test_round_trip_bitwise(self, name):
+        # The block survives the v1 JSON codec: absorbing the decoded
+        # block equals absorbing the original reports.
         protocol, values_fn = _protocol_cases()[name]
         reports = _encode(protocol, values_fn)
         block = wire.reports_to_columns(reports)
-        rebuilt = wire.columns_to_reports(block)
+        rebuilt = wire.decode_reports(
+            json.loads(json.dumps(wire.encode_reports(block)))
+        )
         acc_a, acc_b = protocol.server(), protocol.server()
         acc_a.absorb(reports)
-        acc_b.absorb(rebuilt)
+        acc_b.absorb_columns(rebuilt)
         _assert_estimates_bitwise_equal(acc_a.estimate(), acc_b.estimate())
 
     def test_absorb_columns_matches_object_path(self, name):
@@ -139,11 +146,15 @@ class TestContainerColumns:
             cols=np.array([[0, 3], [1, 4]]),
             values=np.array([[0.5, -0.5], [1.5, 2.5]]),
         )
-        rebuilt = SampledNumericReports.from_columns(
-            reports.to_columns(), d=5, k=2
+        block = to_block(reports)
+        assert (block.kind, block.n) == ("sampled-numeric", 2)
+        assert block.meta == {"d": 5, "k": 2}
+        rebuilt = wire.decode_reports(wire.encode_reports(reports))
+        assert rebuilt.meta == block.meta
+        np.testing.assert_array_equal(rebuilt.column("cols"), reports.cols)
+        np.testing.assert_array_equal(
+            rebuilt.column("values"), reports.values
         )
-        np.testing.assert_array_equal(rebuilt.cols, reports.cols)
-        np.testing.assert_array_equal(rebuilt.values, reports.values)
 
     def test_olh_round_trip(self):
         reports = OLHReports(
@@ -160,13 +171,13 @@ class TestContainerColumns:
             numeric=np.zeros((3, 1)),
             categorical={"color": np.array([0, 1, 2])},
         )
-        columns = reports.to_columns()
-        assert set(columns) == {"numeric", "cat.color.array"}
-        rebuilt = MixedReports.from_columns(
-            columns, n=3, categorical={"color": "array"}
-        )
+        block = to_block(reports)
+        assert set(block.columns) == {"numeric", "cat.color.array"}
+        assert block.meta == {"categorical": {"color": "array"}}
+        sub = block.sub_block("color", "array")
+        assert sub.n == 3
         np.testing.assert_array_equal(
-            rebuilt.categorical["color"], reports.categorical["color"]
+            sub.column("array"), reports.categorical["color"]
         )
 
     def test_mixed_rejects_dotted_attribute_names(self):
@@ -176,7 +187,7 @@ class TestContainerColumns:
             categorical={"a.b": np.array([0])},
         )
         with pytest.raises(ValueError, match=r"\."):
-            reports.to_columns()
+            to_block(reports)
 
 
 class TestColumnBlock:
@@ -230,8 +241,10 @@ class TestFrameErrors:
 
     def test_unknown_kind_rejected_on_decode(self):
         block = ColumnBlock(kind="mystery", n=1, columns={})
+        with pytest.raises(ValueError, match="mystery"):
+            Protocol.numeric_mean(1.0, "hm").server().validate_columns(block)
         with pytest.raises(wire.WireFormatError, match="mystery"):
-            wire.columns_to_reports(block)
+            wire.encode_reports(block)
 
     def test_decoded_columns_are_writable(self):
         envelope = wire.unpack_columns(self._frame())

@@ -109,31 +109,29 @@ class TestSnapshotCompleteness:
 
     def test_inherited_surface_counts(self):
         # ScaledCounterAccumulator implements nothing itself; the
-        # parent's absorb/merge/state_dict/load_state must satisfy it.
+        # parent's absorb_columns/merge/state_dict/load_state must
+        # satisfy it.
         assert findings(FIXTURES / "QA401" / "good", ["QA401"]) == []
 
 
 class TestWireCodecExhaustiveness:
-    def test_orphan_container_flagged_in_all_four_functions(self):
+    def test_orphan_container_flagged_in_converter(self):
+        # OrphanReports has no to_block() branch, so it has no kind the
+        # codec could be checked for: one finding, on the converter.
         found = findings(FIXTURES / "QA501" / "bad", ["QA501"])
         orphan = [v for v in found if "OrphanReports" in v.message]
-        assert len(orphan) == 4
-        joined = " ".join(v.message for v in orphan)
-        assert "encode_reports" in joined
-        assert "decode_reports" in joined
-        assert "reports_to_columns" in joined
-        assert "columns_to_reports" in joined
+        assert len(orphan) == 1
+        assert "to_block" in orphan[0].message
 
-    def test_v1_only_container_flagged_on_columnar_path(self):
-        # HalfWiredReports has v1 JSON entries but no columnar ones:
-        # exactly the two v2 functions must flag it.
+    def test_kind_missing_from_v1_decoder_flagged(self):
+        # HalfWiredReports converts to 'half-wired', which
+        # encode_reports handles and decode_reports does not.
         found = findings(FIXTURES / "QA501" / "bad", ["QA501"])
         half = [v for v in found if "HalfWiredReports" in v.message]
-        assert len(half) == 2
-        joined = " ".join(v.message for v in half)
-        assert "reports_to_columns" in joined
-        assert "columns_to_reports" in joined
-        assert "encode_reports" not in joined
+        assert len(half) == 1
+        assert "decode_reports" in half[0].message
+        assert "'half-wired'" in half[0].message
+        assert len(found) == 2
 
     def test_registered_container_passes(self):
         # The good tree also defines the ColumnBlock carrier, which is

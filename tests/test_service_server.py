@@ -20,6 +20,7 @@ import pytest
 
 from repro.data import make_br_like
 from repro.protocol import Protocol
+from repro.protocol.reports import ColumnBlock
 from repro.service import (
     IngestionServer,
     OverBudgetError,
@@ -365,6 +366,188 @@ class TestIdempotencyKeyType:
         assert payload["idempotency_keys"] == ["batch-0"]
         # The SIGTERM path's final checkpoint goes through the same code.
         assert server.drain().checkpoint_seq == seq
+
+
+def _rewrite_header(frame, edit):
+    """A v2 frame whose JSON header went through ``edit(header)``."""
+    (head_len,) = struct.unpack("<I", frame[4:8])
+    header = json.loads(frame[8 : 8 + head_len])
+    edit(header)
+    head = json.dumps(header).encode("utf-8")
+    return (
+        frame[:4] + struct.pack("<I", len(head)) + head
+        + frame[8 + head_len :]
+    )
+
+
+def _post_v1(client, server, users, reports_json):
+    envelope = wire.pack(
+        {"users": users, "idempotency_key": None, "reports": reports_json},
+        server.fingerprint,
+    )
+    return client._request("POST", "/report", envelope)
+
+
+def _post_v2(client, frame):
+    return client._request(
+        "POST", "/report", raw_body=frame,
+        content_type=wire.COLUMNAR_CONTENT_TYPE,
+    )
+
+
+def _assert_rejected_untouched(client, excinfo, error="bad_reports"):
+    assert excinfo.value.status == 400
+    assert excinfo.value.payload["error"] == error
+    health = client.healthz()
+    assert health["users_charged"] == 0
+    assert health["reports"] == 0
+
+
+#: kind -> (users declared, users actually encoded)
+_ROW_CASES = {
+    "array": (2, 100),
+    "olh": (2, 100),
+    "sampled-numeric": (2, 100),
+    "mixed": (3, 300),
+}
+
+
+def _row_case(kind):
+    """The protocol emitting ``kind`` and a consistent block of it."""
+    rows = _ROW_CASES[kind][1]
+    rng = np.random.default_rng(4)
+    if kind == "mixed":
+        values = make_br_like(rows, rng=rng)
+        protocol = Protocol.multidim(4.0, schema=values.schema)
+    elif kind == "sampled-numeric":
+        values = rng.uniform(-1, 1, (rows, 4))
+        protocol = Protocol.multidim(4.0, d=4, mechanism="hm")
+    else:
+        values = rng.integers(0, 32, rows)
+        oracle = "oue" if kind == "array" else "olh"
+        protocol = Protocol.frequency(1.0, domain=32, oracle=oracle)
+    reports = protocol.client().encode_batch(
+        values, np.random.default_rng(SEED)
+    )
+    block = wire.reports_to_columns(reports)
+    assert (block.kind, block.n) == (kind, rows)
+    return protocol, block
+
+
+class TestBlockRowCounts:
+    """A batch whose columns hold more rows than the ``n`` users it
+    declares is 400 ``bad_reports``: nobody is charged and nothing is
+    absorbed, on both wire versions."""
+
+    @pytest.mark.parametrize("kind", sorted(_ROW_CASES))
+    def test_v2_declared_n_below_rows_rejected(self, serve, kind):
+        protocol, block = _row_case(kind)
+        declared = _ROW_CASES[kind][0]
+        server = serve(protocol)
+        client = ServiceClient("127.0.0.1", server.port)
+        block.n = declared
+        frame = wire.pack_columns(
+            block, server.fingerprint, users=_users(declared)
+        )
+        with pytest.raises(ServiceError) as excinfo:
+            _post_v2(client, frame)
+        _assert_rejected_untouched(client, excinfo)
+
+    @pytest.mark.parametrize("kind", sorted(_ROW_CASES))
+    def test_v1_declared_n_below_rows_rejected(self, serve, kind):
+        protocol, block = _row_case(kind)
+        declared = _ROW_CASES[kind][0]
+        server = serve(protocol)
+        client = ServiceClient("127.0.0.1", server.port)
+        payload = wire.encode_reports(block)
+        # v1 declares n explicitly only for mixed; elsewhere n is the
+        # first column's rows, so shorten that one.
+        if kind == "mixed":
+            payload["n"] = declared
+            error = "bad_reports"
+        elif kind == "array":
+            # One column: its rows are n, which disagrees with the
+            # user list instead.
+            error = "bad_request"
+        else:
+            first = {"olh": "seeds", "sampled-numeric": "cols"}[kind]
+            payload[first] = wire.encode_array(
+                block.column(first)[:declared]
+            )
+            error = "bad_reports"
+        with pytest.raises(ServiceError) as excinfo:
+            _post_v1(client, server, _users(declared), payload)
+        _assert_rejected_untouched(client, excinfo, error)
+
+
+class TestMalformedWireShapes:
+    """Malformed array shapes and non-numeric columns are 400s."""
+
+    @pytest.mark.parametrize("shape", [["2", 8], [None]])
+    def test_v1_bad_shape_is_400(self, serve, shape):
+        protocol, _ = _cases()["mean"]
+        server = serve(protocol)
+        client = ServiceClient("127.0.0.1", server.port)
+        payload = wire.encode_reports(np.zeros(2))
+        payload["array"]["shape"] = shape
+        with pytest.raises(ServiceError) as excinfo:
+            _post_v1(client, server, _users(2), payload)
+        _assert_rejected_untouched(client, excinfo)
+
+    def test_v2_negative_dims_are_400(self, serve):
+        protocol = Protocol.frequency(1.0, domain=8, oracle="oue")
+        server = serve(protocol)
+        client = ServiceClient("127.0.0.1", server.port)
+        reports = protocol.client().encode_batch(
+            np.arange(2) % 8, np.random.default_rng(SEED)
+        )
+        frame = wire.pack_columns(
+            wire.reports_to_columns(reports), server.fingerprint,
+            users=_users(2),
+        )
+
+        def negate(header):
+            column = header["columns"][0]
+            column["shape"] = [-d for d in column["shape"]]
+
+        with pytest.raises(ServiceError) as excinfo:
+            _post_v2(client, _rewrite_header(frame, negate))
+        _assert_rejected_untouched(client, excinfo, "bad_envelope")
+
+
+    def test_v2_non_numeric_column_is_400(self, serve):
+        protocol = Protocol.frequency(1.0, domain=8, oracle="grr")
+        server = serve(protocol)
+        client = ServiceClient("127.0.0.1", server.port)
+        block = ColumnBlock(
+            kind="array", n=2, columns={"array": np.array(["a", "b"])}
+        )
+        frame = wire.pack_columns(block, server.fingerprint, users=_users(2))
+        with pytest.raises(ServiceError) as excinfo:
+            _post_v2(client, frame)
+        _assert_rejected_untouched(client, excinfo)
+
+
+class TestNonIntegerMeta:
+    @pytest.mark.parametrize("d", [[4], None, "4", 4.0])
+    def test_sampled_numeric_meta_d_is_400(self, serve, d):
+        protocol, values = _cases()["multidim-numeric"]
+        server = serve(protocol)
+        client = ServiceClient("127.0.0.1", server.port)
+        reports = protocol.client().encode_batch(
+            values[:5], np.random.default_rng(SEED)
+        )
+        frame = wire.pack_columns(
+            wire.reports_to_columns(reports), server.fingerprint,
+            users=_users(5),
+        )
+
+        def set_d(header):
+            header["meta"]["d"] = d
+
+        with pytest.raises(ServiceError) as excinfo:
+            _post_v2(client, _rewrite_header(frame, set_d))
+        _assert_rejected_untouched(client, excinfo)
 
 
 class TestCrashResume:

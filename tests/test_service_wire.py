@@ -6,12 +6,13 @@ reduces to "the wire changes nothing".
 """
 
 import json
+import struct
 
 import numpy as np
 import pytest
 
-from repro.frequency.olh import OLHReports
-from repro.protocol import PROTOCOL_KINDS, Protocol, SampledNumericReports
+from repro.protocol import PROTOCOL_KINDS, Protocol
+from repro.protocol.reports import ColumnBlock
 from repro.service import wire
 
 SEED = 20190412
@@ -65,33 +66,16 @@ def _json_round_trip(obj):
     return json.loads(json.dumps(obj))
 
 
-def _assert_reports_bitwise_equal(a, b):
-    if isinstance(a, SampledNumericReports):
-        assert isinstance(b, SampledNumericReports)
-        assert (a.d, a.k) == (b.d, b.k)
-        np.testing.assert_array_equal(a.cols, b.cols)
-        assert a.cols.dtype == b.cols.dtype
-        np.testing.assert_array_equal(a.values, b.values)
-        assert a.values.dtype == b.values.dtype
-        return
-    if isinstance(a, OLHReports):
-        assert isinstance(b, OLHReports)
-        np.testing.assert_array_equal(a.seeds, b.seeds)
-        assert a.seeds.dtype == b.seeds.dtype
-        np.testing.assert_array_equal(a.buckets, b.buckets)
-        return
-    if hasattr(a, "categorical"):  # MixedReports
-        assert a.n == b.n
-        np.testing.assert_array_equal(a.numeric, b.numeric)
-        assert set(a.categorical) == set(b.categorical)
-        for key in a.categorical:
-            _assert_reports_bitwise_equal(
-                a.categorical[key], b.categorical[key]
-            )
-        return
-    a, b = np.asarray(a), np.asarray(b)
-    assert a.dtype == b.dtype
-    np.testing.assert_array_equal(a, b)
+def _assert_block_matches(reports, block):
+    """``block`` carries exactly the columns of ``reports``, bitwise."""
+    expected = wire.reports_to_columns(reports)
+    assert isinstance(block, ColumnBlock)
+    assert (block.kind, block.n) == (expected.kind, expected.n)
+    assert block.meta == expected.meta
+    assert sorted(block.columns) == sorted(expected.columns)
+    for name, column in expected.columns.items():
+        assert block.columns[name].dtype == column.dtype
+        np.testing.assert_array_equal(block.columns[name], column)
 
 
 def _assert_estimates_bitwise_equal(a, b):
@@ -158,7 +142,7 @@ class TestReportCodec:
         decoded = wire.decode_reports(
             _json_round_trip(wire.encode_reports(reports))
         )
-        _assert_reports_bitwise_equal(reports, decoded)
+        _assert_block_matches(reports, decoded)
         # Absorbing the decoded reports yields the bitwise-same estimate.
         _assert_estimates_bitwise_equal(
             protocol.server().absorb(reports).estimate(),
@@ -173,16 +157,131 @@ class TestReportCodec:
         assert set(PROTOCOL_KINDS) <= covered
 
     def test_report_count(self):
+        # A block's n is the user count on both wire versions.
         protocol, values = _protocols()["multidim-numeric"]
         reports = protocol.client().encode_batch(values, 0)
-        assert wire.report_count(reports) == N
+        assert wire.reports_to_columns(reports).n == N
+        assert wire.decode_reports(wire.encode_reports(reports)).n == N
         mixed_protocol, dataset = _protocols()["multidim-mixed"]
         mixed = mixed_protocol.client().encode_batch(dataset, 0)
-        assert wire.report_count(mixed) == N
+        assert wire.reports_to_columns(mixed).n == N
+        assert wire.decode_reports(wire.encode_reports(mixed)).n == N
 
     def test_unknown_payload_type_rejected(self):
         with pytest.raises(wire.WireFormatError):
             wire.decode_reports({"type": "carrier-pigeon"})
+
+
+def _pinned_batches():
+    """One tiny batch per v1 payload type, with fixed arrays."""
+    from repro.frequency.olh import OLHReports
+    from repro.multidim.collector import MixedReports
+    from repro.protocol import SampledNumericReports
+
+    return {
+        "array": np.array([[1, 0, 1], [0, 1, 0]], dtype=np.uint8),
+        "olh": OLHReports(
+            seeds=np.array([7, 2**40], dtype=np.uint64),
+            buckets=np.array([0, 3], dtype=np.int64),
+        ),
+        "sampled-numeric": SampledNumericReports(
+            d=3, k=1, cols=np.array([[2], [0]]),
+            values=np.array([[1.5], [-0.25]]),
+        ),
+        "mixed": MixedReports(
+            n=2,
+            numeric=np.array([[0.5], [0.0]]),
+            categorical={
+                "color": np.array([[0, 1], [1, 1]], dtype=np.uint8),
+                "city": OLHReports(
+                    seeds=np.array([5], dtype=np.uint64),
+                    buckets=np.array([1], dtype=np.int64),
+                ),
+            },
+        ),
+    }
+
+
+#: The v1 JSON every earlier SDK sends for :func:`_pinned_batches`.
+#: Old clients keep working only while these bytes stay the same.
+PINNED_V1 = {
+    "array": (
+        '{"type": "array", "array": {"dtype": "|u1", "shape": [2, 3], '
+        '"data": "AQABAAEA"}}'
+    ),
+    "olh": (
+        '{"type": "olh", "seeds": {"dtype": "<u8", "shape": [2], '
+        '"data": "BwAAAAAAAAAAAAAAAAEAAA=="}, "buckets": {"dtype": "<i8", '
+        '"shape": [2], "data": "AAAAAAAAAAADAAAAAAAAAA=="}}'
+    ),
+    "sampled-numeric": (
+        '{"type": "sampled-numeric", "d": 3, "k": 1, "cols": {"dtype": '
+        '"<i8", "shape": [2, 1], "data": "AgAAAAAAAAAAAAAAAAAAAA=="}, '
+        '"values": {"dtype": "<f8", "shape": [2, 1], "data": '
+        '"AAAAAAAA+D8AAAAAAADQvw=="}}'
+    ),
+    "mixed": (
+        '{"type": "mixed", "n": 2, "numeric": {"dtype": "<f8", "shape": '
+        '[2, 1], "data": "AAAAAAAA4D8AAAAAAAAAAA=="}, "categorical": '
+        '{"color": {"type": "array", "array": {"dtype": "|u1", "shape": '
+        '[2, 2], "data": "AAEBAQ=="}}, "city": {"type": "olh", "seeds": '
+        '{"dtype": "<u8", "shape": [1], "data": "BQAAAAAAAAA="}, '
+        '"buckets": {"dtype": "<i8", "shape": [1], "data": '
+        '"AQAAAAAAAAA="}}}}'
+    ),
+}
+
+
+class TestV1Bytes:
+    @pytest.mark.parametrize("kind", sorted(PINNED_V1))
+    def test_encode_reports_bytes_are_pinned(self, kind):
+        reports = _pinned_batches()[kind]
+        assert json.dumps(wire.encode_reports(reports)) == PINNED_V1[kind]
+
+    @pytest.mark.parametrize("kind", sorted(PINNED_V1))
+    def test_pinned_payload_decodes_to_the_batch_block(self, kind):
+        reports = _pinned_batches()[kind]
+        decoded = wire.decode_reports(json.loads(PINNED_V1[kind]))
+        _assert_block_matches(reports, decoded)
+
+
+class TestMalformedShapes:
+    @pytest.mark.parametrize(
+        "shape", [["2", 8], [None], [-2, -8], [2.0, 8], "16", [True, 16]]
+    )
+    def test_v1_array_shape_must_be_non_negative_ints(self, shape):
+        payload = wire.encode_array(np.zeros((2, 8)))
+        payload["shape"] = shape
+        with pytest.raises(wire.WireFormatError, match="shape"):
+            wire.decode_array(payload)
+
+    def test_v2_negative_dims_rejected(self):
+        block = ColumnBlock(
+            kind="array", n=2, columns={"array": np.zeros((2, 8))}
+        )
+        frame = wire.pack_columns(block, "fp")
+        (head_len,) = struct.unpack("<I", frame[4:8])
+        header = json.loads(frame[8 : 8 + head_len])
+        header["columns"][0]["shape"] = [-2, -8]  # product still 16
+        head = json.dumps(header).encode("utf-8")
+        forged = (
+            frame[:4] + struct.pack("<I", len(head)) + head
+            + frame[8 + head_len :]
+        )
+        with pytest.raises(wire.WireFormatError, match="shape"):
+            wire.unpack_columns(forged)
+
+    def test_shape_product_past_int64_rejected(self):
+        payload = wire.encode_array(np.zeros(0))
+        payload["shape"] = [2**62, 4]  # product wraps to 0 in int64
+        with pytest.raises(wire.WireFormatError, match="needs"):
+            wire.decode_array(payload)
+
+    def test_object_dtype_rejected(self):
+        payload = wire.encode_array(np.zeros(2))
+        payload["dtype"] = "O"
+        with pytest.raises(wire.WireFormatError, match="object"):
+            wire.decode_array(payload)
 
 
 class TestAccumulatorStateCodec:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.protocol import Protocol
+from repro.protocol.reports import to_block
 from repro.service import wire
 from repro.stream import (
     DecayedWindowedAccumulator,
@@ -215,7 +216,7 @@ class TestWindowedAccumulator:
         proto = frequency_protocol(domain=4)
         acc = WindowConfig(panes=2).build(proto.server)
         with pytest.raises(ValueError):
-            acc.validate_reports(np.array([0, 99]))
+            acc.validate_columns(to_block(np.array([0, 99])))
 
     def test_rejects_negative_round(self):
         proto = frequency_protocol()
