@@ -17,15 +17,19 @@ so the memoization key is effectively ``(campaign, user, value)``, the
 granularity the privacy argument needs.  A user switching to a *new*
 value is perturbed fresh (and charged); switching back to a previously
 reported value reuses that value's original report without further
-charge (classic permanent memoization à la RAPPOR).
+charge (classic permanent memoization à la RAPPOR).  A ``(user, value)``
+repeated within one batch is perturbed once, fresh at its first entry.
 
 Supported report containers: numeric arrays (mean protocol), GRR index
-arrays, unary-encoding bit matrices,
-:class:`~repro.frequency.olh.OLHReports`, and
-:class:`~repro.protocol.reports.SampledNumericReports`.  Mixed-tuple
+arrays, unary-encoding bit matrices, :class:`~repro.frequency.olh.OLHReports`
+and :class:`~repro.protocol.reports.SampledNumericReports`.  Mixed-tuple
 reports are rejected — their per-attribute sampling makes a cached row
-unrepresentative, so memoizing them would silently change the
-protocol.
+unrepresentative, so memoizing them would silently change the protocol.
+
+Cache layout: ``{user: {value key: row}}``, so ``forget(user)`` touches
+that user's entries only.  A batch costs one pass to key its values
+(dtype, row shape, then bytes: ``int32`` 3 and ``int64`` 3 differ), one
+dict probe per user and one ``bytes`` join per report column.
 
 This module is client-side by design: it imports encoders and is NOT
 part of the QA201 server tier.
@@ -33,6 +37,7 @@ part of the QA201 server tier.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -43,49 +48,18 @@ from repro.protocol.encoders import ClientEncoder, MixedEncoder
 from repro.protocol.reports import SampledNumericReports, to_block
 from repro.utils.rng import RngLike
 
-#: Cached row form: ``(kind, meta, {column: row})``, one user's slice
-#: of the fresh batch's column block.
-_Row = Tuple[str, Dict[str, Any], Dict[str, np.ndarray]]
+_Row = Tuple[bytes, ...]  # one cached report: bytes per report column
+_NOTHING: Dict[bytes, _Row] = {}
 
 
-def _value_key(row: np.ndarray) -> bytes:
-    """Canonical bytes for one true value (scalar or vector)."""
-    arr = np.ascontiguousarray(row)
-    return (
-        str(arr.dtype.str).encode()
-        + b"|"
-        + repr(arr.shape).encode()
-        + b"|"
-        + arr.tobytes()
-    )
-
-
-def _split_rows(reports: Any) -> List[_Row]:
-    """Decompose a report container into one cacheable row per user."""
-    block = to_block(reports)
-    if block.kind == "mixed":
-        raise TypeError("memoization does not support mixed-tuple reports")
-    return [
-        (block.kind, block.meta,
-         {name: col[i] for name, col in block.columns.items()})
-        for i in range(block.n)
-    ]
-
-
-def _join_rows(rows: Sequence[_Row]) -> Any:
-    """Reassemble rows (cached + fresh, batch order) into a container."""
-    kind, meta, first = rows[0]
-    if any(row[0] != kind for row in rows):
-        raise TypeError("cannot mix report container kinds in one batch")
-    columns = {
-        name: np.stack([np.asarray(row[2][name]) for row in rows])
-        for name in first
-    }
-    if kind == "olh":
-        return OLHReports(**columns)
-    if kind == "sampled-numeric":
-        return SampledNumericReports(d=meta["d"], k=meta["k"], **columns)
-    return columns["array"]
+def _row_bytes(arr: np.ndarray, prefix: bytes = b"") -> List[bytes]:
+    """Each row (axis 0) of ``arr`` as one ``bytes`` led by ``prefix``."""
+    n, lead = len(arr), len(prefix)
+    width = arr.dtype.itemsize * math.prod(arr.shape[1:])
+    out = np.empty((n, lead + width), np.uint8)
+    out[:, :lead] = np.frombuffer(prefix, np.uint8)
+    out[:, lead:] = np.ascontiguousarray(arr).view(np.uint8).reshape(n, width)
+    return out.view(np.dtype((np.void, lead + width))).ravel().tolist()
 
 
 class MemoizedEncoder(ClientEncoder):
@@ -107,13 +81,12 @@ class MemoizedEncoder(ClientEncoder):
                 "row is unrepresentative"
             )
         self.inner = inner
-        self._cache: Dict[Tuple[Hashable, bytes], _Row] = {}
+        self._cache: Dict[Hashable, Dict[bytes, _Row]] = {}
+        # (kind, meta, ((column, dtype, row shape), ...)) of all rows.
+        self._layout: Optional[Tuple[str, Dict[str, Any], tuple]] = None
         self._hits = 0
         self._misses = 0
 
-    # ------------------------------------------------------------------
-    # ClientEncoder interface (delegation)
-    # ------------------------------------------------------------------
     def encode_batch(self, values: Any, rng: RngLike = None) -> Any:
         """Plain (user-less) encode: no identity, nothing to memoize."""
         return self.inner.encode_batch(values, rng)
@@ -121,9 +94,6 @@ class MemoizedEncoder(ClientEncoder):
     def new_accumulator(self) -> ServerAccumulator:
         return self.inner.new_accumulator()
 
-    # ------------------------------------------------------------------
-    # Memoized path
-    # ------------------------------------------------------------------
     def encode_users(
         self,
         values: Any,
@@ -149,28 +119,61 @@ class MemoizedEncoder(ClientEncoder):
         if n == 0:
             return self.inner.encode_batch(values, rng), []
 
-        keys = [(users[i], _value_key(matrix[i])) for i in range(n)]
-        fresh = [key not in self._cache for key in keys]
-        fresh_idx = [i for i in range(n) if fresh[i]]
-        self._hits += n - len(fresh_idx)
-        self._misses += len(fresh_idx)
+        keys = _row_bytes(
+            matrix, f"{matrix.dtype.str}|{matrix.shape[1:]!r}|".encode()
+        )
+        cache = self._cache
+        rows = [cache.get(u, _NOTHING).get(k) for u, k in zip(users, keys)]
+        missed = [i for i, row in enumerate(rows) if row is None]
+        firsts: Dict[Tuple[Hashable, bytes], int] = {}
+        fresh = [False] * n
+        for i in missed:
+            fresh[i] = firsts.setdefault((users[i], keys[i]), i) == i
 
-        if fresh_idx:
-            fresh_reports = self.inner.encode_batch(
-                matrix[np.asarray(fresh_idx, dtype=np.intp)], rng
-            )
-            for row, i in zip(_split_rows(fresh_reports), fresh_idx):
-                self._cache[keys[i]] = row
-        rows = [self._cache[key] for key in keys]
-        return _join_rows(rows), fresh
+        if firsts:
+            fresh_rows = self._split(self.inner.encode_batch(
+                matrix[list(firsts.values())], rng
+            ))
+            for i, row in zip(firsts.values(), fresh_rows):
+                cache.setdefault(users[i], {})[keys[i]] = row
+            for i in missed:
+                rows[i] = cache[users[i]][keys[i]]
+        self._hits += n - len(firsts)
+        self._misses += len(firsts)
+        return self._join(rows), fresh
 
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
+    def _split(self, reports: Any) -> List[_Row]:
+        """One cacheable row per user of a fresh report batch."""
+        block = to_block(reports)
+        if block.kind == "mixed":
+            raise TypeError("memoization does not support mixed-tuple reports")
+        layout = (block.kind, block.meta, tuple(
+            (name, col.dtype, col.shape[1:])
+            for name, col in block.columns.items()
+        ))
+        if self._layout not in (None, layout):
+            raise TypeError(f"reports {layout} differ from {self._layout}")
+        self._layout = layout
+        return list(zip(*map(_row_bytes, block.columns.values())))
+
+    def _join(self, rows: Sequence[_Row]) -> Any:
+        """Reassemble rows (batch order) into a report container."""
+        kind, meta, layout = self._layout  # type: ignore[misc]
+        columns = {
+            name: np.frombuffer(b"".join(column), dtype)
+            .reshape((len(rows), *shape)).copy()
+            for (name, dtype, shape), column in zip(layout, zip(*rows))
+        }
+        if kind == "olh":
+            return OLHReports(**columns)
+        if kind == "sampled-numeric":
+            return SampledNumericReports(d=meta["d"], k=meta["k"], **columns)
+        return columns["array"]
+
     @property
     def cache_size(self) -> int:
         """Distinct ``(user, value)`` pairs memoized so far."""
-        return len(self._cache)
+        return sum(len(rows) for rows in self._cache.values())
 
     @property
     def hits(self) -> int:
@@ -186,14 +189,10 @@ class MemoizedEncoder(ClientEncoder):
         """Drop cached reports (one user's, or everyone's); returns
         the number of entries removed.  A forgotten value will be
         re-perturbed — and re-charged — on next report."""
-        if user is None:
-            removed = len(self._cache)
-            self._cache.clear()
-            return removed
-        doomed = [key for key in self._cache if key[0] == user]
-        for key in doomed:
-            del self._cache[key]
-        return len(doomed)
+        if user is not None:
+            return len(self._cache.pop(user, ()))
+        removed, self._cache = self.cache_size, {}
+        return removed
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -262,6 +262,18 @@ class TestMemoizedSubmission:
         assert server.ledger.spent("u1") == 2.0
         assert server.ledger.spent("u3") == 2.0
 
+    def test_repeated_user_value_in_one_batch_is_charged_once(self, serve):
+        protocol = _frequency()
+        server = serve(protocol, window={"panes": 4}, lifetime_epsilon=4.0)
+        client = ServiceClient("127.0.0.1", server.port, memoize=True)
+        response = client.submit(
+            [3, 3, 5], users=["a", "a", "b"], rng=SEED, round=0
+        )
+        assert response["accepted"] == 3
+        assert server.ledger.spent("a") == 1.0
+        assert server.ledger.spent("b") == 1.0
+        assert client.estimate_info(window=4)["reports"] == 3
+
     def test_memoized_rounds_keep_estimates_valid(self, serve):
         protocol = _frequency()
         server = serve(protocol, window={"panes": 2})
